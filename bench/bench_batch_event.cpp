@@ -8,9 +8,10 @@
 // the human-readable summary goes to stderr.
 //
 // A SIMD comparison section times every compiled+supported wide lane-word
-// backend (AVX2, AVX-512) against the u64 reference with a finer chunking
-// (so the wide batch words actually fill) and emits simd.<name>_vs_u64
-// ratios — gated in CI as OPTIONAL-IF-UNSUPPORTED.
+// backend (AVX2, AVX-512) against the u64 reference, each at the chunking
+// collect_activity derives for its lane width (a wider word replays
+// shorter streams), and emits simd.<name>_vs_u64 ratios — gated in CI as
+// OPTIONAL-IF-UNSUPPORTED.
 //
 // Usage: bench_batch_event [--quick] [--trace out.json] [--metrics]
 //                          [--backend u64|avx2|avx512|auto]
@@ -36,11 +37,10 @@ using namespace pml;
 namespace {
 
 constexpr double kQuantumMs = 0.02;
-constexpr std::size_t kChunk = 16;
 
-/// Scalar reference loop: exactly what evaluate_circuit's power step did
-/// before the batch-event subsystem (warm-up on the first sample, then a
-/// single free-running sample-at-a-time replay).
+/// Scalar reference loop: the serial stream collect_activity reproduces
+/// (warm-up on the first sample, then a single free-running
+/// sample-at-a-time replay).
 sim::ActivityStats run_scalar(const netlist::Module& module,
                               const cells::CellLibrary& lib, int cycles,
                               const core::CircuitWorkload& wl, std::size_t n,
@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
   // --- batch event, single thread --------------------------------------------
   core::ActivityOptions aopts;
   aopts.num_threads = 1;
-  aopts.chunk_samples = kChunk;
   aopts.time_quantum_ms = kQuantumMs;
   aopts.backend = sim::parse_backend(args.backend);
   aopts.levelization = sim::levelize_shared(circuit.module);
@@ -161,15 +160,14 @@ int main(int argc, char** argv) {
   }
 
   // --- SIMD backend comparison -----------------------------------------------
-  // Wide batch words need many lane-streams to fill: chunk_samples=4
-  // cuts the workload into n/4 chunks (512 for the quick 2048-sample
-  // workload — exactly one full AVX-512 batch), and the u64 reference is
-  // re-timed under the identical chunking so the ratio isolates the lane
-  // width.  Merged counts must stay bit-identical throughout.
+  // Each backend fills its own lanes: on one thread collect_activity cuts
+  // the workload into one batch word of ceil(n / lanes)-sample streams, so
+  // a wider word replays fewer rounds.  The u64 reference is re-timed here
+  // so both sides of the ratio run back to back.  Merged counts must stay
+  // bit-identical throughout.
   const auto time_backend = [&](sim::Backend b) {
     core::ActivityOptions sopts = aopts;
     sopts.num_threads = 1;
-    sopts.chunk_samples = 4;
     sopts.backend = b;
     benchutil::Stopwatch ssw;
     const sim::ActivityStats r = core::collect_activity(

@@ -2,25 +2,40 @@
 // Batched, multi-threaded glitch-activity collection — the engine behind
 // evaluate_circuit's power step (flow step 7).
 //
-// The power-replay samples are cut into contiguous chunks of
-// `chunk_samples`; each chunk becomes one lane-stream of a bit-parallel
-// sim::BatchEventSimulator, and batches of kLanes chunks (64 on the u64
-// reference backend, wider under AVX) are sharded across
-// std::thread workers (each worker owns one simulator; all workers share
-// one Levelization — the same pattern as core::verify_workload).  Each
-// batch warms up every lane on its chunk's first sample, clears the
-// counters, then replays the chunks round by round; a lane whose chunk is
-// exhausted (only possible for the workload's ragged final chunk) holds
-// its inputs and is masked out of counting, so the merged ActivityStats
-// are *bit-exact* against the scalar reference protocol:
+// The merged ActivityStats are *bit-exact* against one serial scalar
+// stream:
 //
-//   for each chunk, independently: reset a scalar EventSimulator, apply
-//   the chunk's first sample and settle/clock cycles_per_inference times
-//   (warm-up, not counted), then replay every sample of the chunk in
-//   order, counting; sum the per-chunk ActivityStats.
+//   reset a scalar EventSimulator, apply sample 0 and settle/clock
+//   cycles_per_inference times (warm-up, not counted), then replay
+//   samples 0..n-1 in order, counting.
 //
-// Chunking is deterministic in the sample count alone, so the merged
-// counts never depend on the worker/thread configuration.
+// To run that stream on a bit-parallel sim::BatchEventSimulator, the
+// samples are cut into contiguous chunks, one chunk per lane-stream, and
+// batches of kLanes chunks (64 on the u64 reference backend, wider under
+// AVX) are sharded across the shared util::TaskPool (each worker owns one
+// simulator; all workers share one Levelization — the same pattern as
+// core::verify_workload).  Each lane warms up on its chunk's
+// *predecessor* sample (sample 0 for the first chunk), clears the
+// counters, then replays its chunk round by round.  Every arch generator
+// reloads its sequential state each inference, so the state after an
+// inference depends only on that inference's inputs and each lane enters
+// its chunk exactly as the serial stream does (proven against the serial
+// oracle on every generator in tests/test_sim_batch_event.cpp).  A lane
+// whose chunk is exhausted (only the ragged final chunk) holds its inputs
+// and is masked out of counting.
+//
+// Because the counts equal the serial stream's for every chunking, the
+// chunking is not an option: collect_activity fills the lanes first (one
+// sample per lane-stream while the samples fit one batch word) and
+// lengthens chunks only to keep the batch count within the worker count.
+//
+// Precondition for that equivalence: the module's sequential state after
+// an inference depends only on that inference's inputs (true of every arch
+// generator, which reloads its registers each inference).  Under it the
+// counts depend on the circuit, workload and sample count alone — never on
+// the backend, thread count or host.  A module whose state carries over
+// between inferences (e.g. a free-running counter) breaks it: the chunk
+// length, and so the thread count, can then change the counts.
 
 #include <cstddef>
 #include <memory>
@@ -34,17 +49,13 @@
 namespace pml::core {
 
 struct ActivityOptions {
-  /// Worker threads; 0 = one per hardware thread (clamped to the batch
-  /// count, so small workloads never spawn idle threads).
+  /// Worker threads; 0 = the shared util::TaskPool's width (its
+  /// PML_POOL_THREADS override, else max(2, hardware threads)).  Clamped
+  /// to the batch count, so a replay that fits one batch word runs on the
+  /// calling thread.  It sets the chunk length, so the counts are
+  /// independent of it only under the precondition in the header comment
+  /// (state reloaded every inference).
   std::size_t num_threads = 0;
-  /// Contiguous samples per lane-stream.  Larger chunks amortize the
-  /// warm-up round over more counted samples but expose less lane
-  /// parallelism for a given sample count (utilization needs
-  /// >= kLanes x chunk_samples samples per batch).  0 = auto: sized from
-  /// the sample count and the auto-resolved backend's lane width
-  /// (clamped to [4, 16]); the resolution is a process-wide constant, so
-  /// the merged counts stay identical across backends and runs.
-  std::size_t chunk_samples = 0;
   /// Event-simulator tick (ms); must match the scalar reference for
   /// bit-exact equivalence.
   double time_quantum_ms = 0.02;
@@ -60,9 +71,11 @@ struct ActivityOptions {
   /// Optional cooperative cancellation, checked between worker batches
   /// (throws util::Cancelled).  Null = no checks.
   const util::CancellationToken* cancel = nullptr;
-  /// SWAR lane-word backend (kAuto = widest available; see
-  /// sim::resolve_backend).  Bit-exact against u64 by construction, so
-  /// the merged ActivityStats never depend on it.
+  /// SWAR lane-word backend.  kAuto picks by occupancy: u64 when its 64
+  /// lanes hold all samples, the widest available backend above that
+  /// (sim::resolve_backend_for; PML_SIM_BACKEND still overrides).  Under
+  /// the header's precondition the merged ActivityStats never depend on
+  /// it.
   sim::Backend backend = sim::Backend::kAuto;
 };
 

@@ -19,7 +19,7 @@
 // optimization disabled, module validation skipped
 // (EvaluateOptions::validate_module = false), and no tracer attached;
 // other configurations still reuse the pools, they just also pay for
-// std::thread spawns and optimizer passes.
+// TaskPool fan-out and optimizer passes.
 //
 // Thread safety: an EvalContext serves ONE evaluation at a time (its
 // worker slots are handed to that evaluation's threads); use one context
@@ -55,12 +55,15 @@ class EvalContext {
     /// Wide-backend pooling: when an evaluation runs on an AVX backend,
     /// its BatchSimulatorT<LaneAvx*> / BatchEventSimulatorT<LaneAvx*>
     /// live here type-erased (only the per-flag backend TUs may name the
-    /// concrete types), tagged with the backend that created them so a
-    /// backend switch drops the stale pair.  The u64 members above stay
-    /// dedicated — the zero-allocation contract is proven on them.
+    /// concrete types), each tagged with the backend that created it so
+    /// a backend switch drops only that engine's stale simulator (verify
+    /// and activity can resolve to different backends).  The u64 members
+    /// above stay dedicated — the zero-allocation contract is proven on
+    /// them.
     std::shared_ptr<void> lane_batch;
+    sim::Backend lane_batch_backend = sim::Backend::kU64;
     std::shared_ptr<void> lane_event;
-    sim::Backend lane_backend = sim::Backend::kU64;
+    sim::Backend lane_event_backend = sim::Backend::kU64;
   };
 
   EvalContext() = default;

@@ -30,13 +30,11 @@ struct EvaluateOptions {
   /// Samples replayed through the batch-event simulator for power (the
   /// full workload is always used for functional verification).
   std::size_t power_samples = 120;
-  /// Worker threads for the power replay; 0 = one per hardware thread.
+  /// Worker threads for the power replay; 0 = the shared util::TaskPool's
+  /// width (see ActivityOptions::num_threads).  The merged activity does
+  /// not depend on it for modules whose sequential state is reloaded every
+  /// inference (every arch generator; see core/activity.hpp).
   std::size_t power_threads = 0;
-  /// Contiguous samples per batch-event lane-stream (see
-  /// ActivityOptions::chunk_samples; 0 = auto-size from the lane width).
-  /// The merged activity is deterministic in this value and the sample
-  /// count alone — never in the thread configuration.
-  std::size_t power_chunk_samples = 0;
   /// Event-simulator tick (ms); smaller = finer glitch resolution.
   double time_quantum_ms = 0.02;
   /// Throw on any circuit-vs-model mismatch (always keep on; exposed for
@@ -68,8 +66,11 @@ struct EvaluateOptions {
   std::size_t flow_probe_samples = 48;
   /// SIMD lane-word backend for the verify and activity phases (and the
   /// cost-model probe replays).  kAuto picks the widest backend the CPU
-  /// supports; results are bit-identical across backends — only
-  /// throughput changes.
+  /// supports for verify and the probes, and by occupancy for activity
+  /// (u64 when its 64 lanes hold all power samples, else the widest; see
+  /// ActivityOptions::backend).  Results are bit-identical across
+  /// backends — only throughput changes (for activity, under the
+  /// state-reload precondition in core/activity.hpp).
   sim::Backend backend = sim::Backend::kAuto;
   /// Optional cooperative cancellation: checked at every phase boundary
   /// (optimize -> levelize -> verify -> sta -> activity -> power) and
@@ -89,8 +90,12 @@ struct EvaluateOptions {
 /// Determinism: every result field depends only on the module, workload,
 /// library, and options — never on thread counts or scheduling (the
 /// wall-clock `opt_seconds`/`opt_pass_times` fields are observability
-/// only).  This is what makes sweep-service cache hits byte-identical to
-/// fresh evaluations.
+/// only) — provided the module's sequential state after an inference
+/// depends only on that inference's inputs (every arch generator reloads
+/// its registers each inference; see core/activity.hpp).  A module whose
+/// state carries over between inferences can get power_threads- and
+/// backend-dependent activity.  This is what makes sweep-service cache
+/// hits byte-identical to fresh evaluations.
 ///
 /// Thread safety: safe to call concurrently on distinct modules/contexts;
 /// the module and workload are only read.

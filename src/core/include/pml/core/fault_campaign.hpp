@@ -58,8 +58,8 @@ struct FaultSet {
     std::size_t num_sets, std::uint64_t seed);
 
 struct FaultCampaignOptions {
-  /// Worker threads; 0 = one per hardware thread (clamped to the batch
-  /// count, so small campaigns never spawn idle threads).
+  /// Worker threads; 0 = the shared util::TaskPool's width (clamped to
+  /// the batch count, so small campaigns never fan out idle slots).
   std::size_t num_threads = 0;
   /// Evaluation samples per variant (clamped to the workload size).
   std::size_t max_samples = std::numeric_limits<std::size_t>::max();

@@ -39,8 +39,8 @@ struct CircuitWorkload {
 };
 
 struct VerifyOptions {
-  /// Worker threads; 0 = one per hardware thread (clamped to the batch
-  /// count, so small workloads never spawn idle threads).
+  /// Worker threads; 0 = the shared util::TaskPool's width (clamped to
+  /// the batch count, so small workloads never fan out idle slots).
   std::size_t num_threads = 0;
   /// Stop scheduling new batches once this many mismatches are recorded
   /// (1 = fail fast; the default counts every mismatch).

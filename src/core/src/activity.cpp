@@ -6,30 +6,9 @@
 #include "backends/kernels.hpp"
 #include "pml/core/eval_context.hpp"
 #include "pml/sim/backend.hpp"
+#include "pml/util/task_pool.hpp"
 
 namespace pml::core {
-
-namespace {
-
-/// chunk_samples == 0 resolves here.  The chunk size is picked from the
-/// *auto-resolved* backend's lane width — deliberately not from
-/// options.backend — so auto-chunking is one process-wide constant and
-/// every backend chunks (and therefore counts) identically: chunking
-/// feeds both the determinism contract and the svc cache, whose digest
-/// excludes the backend knob on the strength of cross-backend
-/// bit-exactness.  Small workloads get small chunks (more lanes busy in
-/// the single batch that covers them); the floor of 4 keeps the warm-up
-/// round — which replays each chunk's first sample without counting it —
-/// amortized over at least three counted samples per chunk.
-std::size_t resolve_chunk_samples(std::size_t requested, std::size_t n) {
-  if (requested != 0) return requested;
-  const std::size_t lanes =
-      sim::backend_lanes(sim::resolve_backend(sim::Backend::kAuto));
-  const std::size_t per_lane = (n + 4 * lanes - 1) / (4 * lanes);
-  return std::clamp<std::size_t>(per_lane, 4, 16);
-}
-
-}  // namespace
 
 sim::ActivityStats collect_activity(const netlist::Module& module,
                                     const cells::CellLibrary& lib,
@@ -85,15 +64,20 @@ void collect_activity_into(sim::ActivityStats& out,
   job.time_quantum_ms = options.time_quantum_ms;
   job.samples = &workload.feature_codes;
   job.num_samples = n;
-  job.chunk_samples = resolve_chunk_samples(options.chunk_samples, n);
-  job.num_threads = options.num_threads;
+  job.num_threads = options.num_threads != 0
+                        ? options.num_threads
+                        : util::TaskPool::instance().size();
   job.context = options.context;
 
-  // Chunking is deterministic in chunk_samples alone; only the grouping
-  // of chunks into batches (and so the thread clamp) depends on the
-  // backend's lane width, and the merged counts are invariant to it.
-  const backends::Kernels& k =
-      backends::kernels_for(sim::resolve_backend(options.backend));
+  // Predecessor warm-up makes the counts independent of the chunking, so
+  // the chunk is free: fill the lanes first (one sample per lane-stream
+  // while n fits one batch word), and cut longer chunks only as needed to
+  // keep the batch count within the worker count.  kAuto runs on u64 when
+  // its 64 lanes hold all n streams.
+  const backends::Kernels& k = backends::kernels_for(
+      sim::resolve_backend_for(options.backend, n));
+  const std::size_t per_word = k.lanes * job.num_threads;
+  job.chunk_samples = std::max<std::size_t>(1, (n + per_word - 1) / per_word);
   k.activity(job, out);
 }
 

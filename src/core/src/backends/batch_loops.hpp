@@ -13,9 +13,10 @@
 // Width-invariance (why every backend returns identical results):
 //  - verify: each lane's sample is simulated independently; lane packing
 //    only changes which word a sample rides in, never its value stream.
-//  - activity: chunk_samples defines the per-chunk replay streams; each
-//    chunk warms up and counts independently, so the summed counters are
-//    independent of how chunks are grouped into batches.
+//  - activity: each lane-stream warms up on its chunk's predecessor
+//    sample, so it enters its chunk in the state the one serial stream
+//    reaches there; the summed counters equal that stream's whatever the
+//    chunking, and so whatever the lane width and thread count.
 //  - fault: every batch starts from power-on reset and variants are
 //    lane-independent, so per-variant counts do not depend on packing
 //    (63 vs 255 vs 511 variants per pass).
@@ -69,23 +70,28 @@ inline void lanes_mask_chunks(std::size_t count, std::uint64_t* mask) {
 /// Pooled simulators.  The u64 loops keep using the dedicated
 /// WorkerScratch::batch / ::event members (the slots the zero-allocation
 /// contract is proven on); wide backends pool through the type-erased
-/// lane_batch / lane_event slots, tagged with their backend so a context
-/// that switches backend between evaluations drops the stale pair.
+/// lane_batch / lane_event slots, each tagged with its backend so a
+/// context that switches one engine's backend between evaluations drops
+/// only that engine's stale simulator (verify and activity may resolve to
+/// different backends in one evaluation).
+template <class Sim, class L>
+[[nodiscard]] inline Sim& pooled_lane(std::shared_ptr<void>& slot,
+                                      sim::Backend& tag) {
+  if (tag != kBackendOf<L> || slot == nullptr) {
+    slot = std::make_shared<Sim>();
+    tag = kBackendOf<L>;
+  }
+  return *static_cast<Sim*>(slot.get());
+}
+
 template <class L>
 [[nodiscard]] inline sim::BatchSimulatorT<L>& pooled_batch(
     EvalContext::WorkerScratch& ws) {
   if constexpr (std::is_same_v<L, sim::LaneU64>) {
     return ws.batch;
   } else {
-    if (ws.lane_backend != kBackendOf<L> || ws.lane_batch == nullptr) {
-      if (ws.lane_backend != kBackendOf<L>) {
-        ws.lane_batch.reset();
-        ws.lane_event.reset();
-        ws.lane_backend = kBackendOf<L>;
-      }
-      ws.lane_batch = std::make_shared<sim::BatchSimulatorT<L>>();
-    }
-    return *std::static_pointer_cast<sim::BatchSimulatorT<L>>(ws.lane_batch);
+    return pooled_lane<sim::BatchSimulatorT<L>, L>(ws.lane_batch,
+                                                   ws.lane_batch_backend);
   }
 }
 
@@ -95,16 +101,8 @@ template <class L>
   if constexpr (std::is_same_v<L, sim::LaneU64>) {
     return ws.event;
   } else {
-    if (ws.lane_backend != kBackendOf<L> || ws.lane_event == nullptr) {
-      if (ws.lane_backend != kBackendOf<L>) {
-        ws.lane_batch.reset();
-        ws.lane_event.reset();
-        ws.lane_backend = kBackendOf<L>;
-      }
-      ws.lane_event = std::make_shared<sim::BatchEventSimulatorT<L>>();
-    }
-    return *std::static_pointer_cast<sim::BatchEventSimulatorT<L>>(
-        ws.lane_event);
+    return pooled_lane<sim::BatchEventSimulatorT<L>, L>(ws.lane_event,
+                                                        ws.lane_event_backend);
   }
 }
 
@@ -213,25 +211,31 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
   std::uint64_t lane_values[kLanes];
   std::uint64_t mask[L::kChunks];
 
+  const auto lane_begin = [&](std::size_t lane) {
+    return (chunk_begin + lane) * chunk_samples;
+  };
+  const auto lane_len = [&](std::size_t lane) {
+    return std::min(chunk_samples, num_samples - lane_begin(lane));  // >= 1
+  };
   // Sample index for chunk-lane L at round r, clamped to the chunk's last
   // sample once the (ragged final) chunk is exhausted: holding the inputs
   // produces no events in that lane, and the count mask excludes it.
   const auto sample_at = [&](std::size_t lane, std::size_t r) {
-    const std::size_t begin = (chunk_begin + lane) * chunk_samples;
-    const std::size_t len =
-        std::min(chunk_samples, num_samples - begin);  // >= 1
-    return begin + std::min(r, len - 1);
+    return lane_begin(lane) + std::min(r, lane_len(lane) - 1);
   };
-  const auto lane_len = [&](std::size_t lane) {
-    return std::min(chunk_samples,
-                    num_samples - (chunk_begin + lane) * chunk_samples);
+  // Warm-up sample: the chunk's predecessor, so the lane enters its chunk
+  // in the state the serial stream reaches there (the first chunk warms
+  // on sample 0, as the serial stream does).
+  const auto warm_sample = [&](std::size_t lane) {
+    const std::size_t begin = lane_begin(lane);
+    return begin == 0 ? std::size_t{0} : begin - 1;
   };
 
-  const auto apply_round = [&](std::size_t r) {
+  const auto apply = [&](auto&& sample_of) {
     for (std::size_t j = 0; j < ports.size(); ++j) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         lane_values[lane] =
-            static_cast<std::uint64_t>(samples[sample_at(lane, r)][j]);
+            static_cast<std::uint64_t>(samples[sample_of(lane)][j]);
       }
       bsim.set_port(*ports[j], lane_values, lanes);
     }
@@ -243,11 +247,11 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
   };
 
   bsim.reset();
-  // Warm-up round on each chunk's first sample, then discard the counts
-  // so every lane starts from its steady state (the scalar protocol).
+  // Warm-up round on each chunk's predecessor sample, then discard the
+  // counts so every lane starts where the serial stream would.
   lanes_mask_chunks<L>(lanes, mask);
   bsim.set_count_mask_chunks(mask);
-  apply_round(0);
+  apply(warm_sample);
   bsim.clear_activity();
 
   // Replay rounds; chunk 0 of the batch is always the longest.
@@ -258,7 +262,7 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
       if (r < lane_len(lane)) mask[sim::lane_chunk(lane)] |= sim::lane_bit(lane);
     }
     bsim.set_count_mask_chunks(mask);
-    apply_round(r);
+    apply([&](std::size_t lane) { return sample_at(lane, r); });
   }
   local.accumulate(bsim.activity());
 }
@@ -315,6 +319,9 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
       const std::size_t b = next_batch.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_batches) return;
       PML_OBS_COUNT("sim.batch_event.batches", 1);
+      PML_OBS_COUNT("sim.batch_event.lanes_active",
+                    std::min(kLanes, num_chunks - b * kLanes));
+      PML_OBS_COUNT("sim.batch_event.lane_capacity", kLanes);
       run_activity_batch<L>(bsim, b, num_chunks, chunk, n, job.sequential,
                             job.cycles_per_inference, *job.samples, ports,
                             local);

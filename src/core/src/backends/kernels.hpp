@@ -43,7 +43,7 @@ struct VerifyJob : JobBase {
   const CircuitWorkload* workload = nullptr;
   const netlist::Port* class_port = nullptr;
   std::size_t max_mismatches = 0;
-  /// Raw thread request (0 = hardware concurrency); the kernel clamps to
+  /// Raw thread request (0 = the TaskPool's width); the kernel clamps to
   /// its own batch count, which depends on the backend's lane width.
   std::size_t num_threads = 0;
   EvalContext* context = nullptr;
@@ -54,7 +54,10 @@ struct ActivityJob : JobBase {
   double time_quantum_ms = 0;
   const std::vector<std::vector<std::int64_t>>* samples = nullptr;
   std::size_t num_samples = 0;
+  /// Contiguous samples per lane-stream, derived by collect_activity.
   std::size_t chunk_samples = 0;
+  /// Resolved worker count (never 0); the kernel clamps it to its batch
+  /// count.
   std::size_t num_threads = 0;
   EvalContext* context = nullptr;
 };

@@ -37,8 +37,8 @@ struct PrecisionSearchOptions {
   int max_weight_bits = 8;
   /// Acceptable accuracy drop vs the float model (absolute, e.g. 0.01).
   double tolerance = 0.005;
-  /// Worker threads for candidate evaluation; 0 = one per hardware thread
-  /// (clamped to the candidate count).  Candidates are evaluated one
+  /// Worker threads for candidate evaluation; 0 = the shared
+  /// util::TaskPool's width (clamped to the candidate count).  Candidates are evaluated one
   /// num_threads-wide chunk at a time in cost order, so the early exit at
   /// the winner survives and the winner and `sweep` are bit-identical to
   /// the serial search for any thread count (num_threads == 1 IS the

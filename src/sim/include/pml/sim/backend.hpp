@@ -9,7 +9,8 @@
 // FaultCampaignOptions (and the benches' --backend flag), plus the
 // resolution logic that turns kAuto into the widest backend that is both
 // compiled in (PML_SIM_HAVE_AVX2 / PML_SIM_HAVE_AVX512, set by CMake) and
-// supported by the CPU we are running on (CPUID).
+// supported by the CPU we are running on (CPUID) — or, for a power
+// replay whose streams fit 64 lanes, into u64.
 //
 // Every backend is proven bit-exact lane-for-lane against the u64
 // reference (tests/test_sim_backend.cpp), so the choice can never change
@@ -65,5 +66,14 @@ enum class Backend : std::uint8_t {
 ///     std::runtime_error naming what is missing (not compiled vs not
 ///     supported by the CPU).
 [[nodiscard]] Backend resolve_backend(Backend requested);
+
+/// Resolve a backend for a replay of `streams` independent lane-streams
+/// (the power replay's occupancy rule).  A concrete request and the
+/// PML_SIM_BACKEND override resolve exactly as in resolve_backend;
+/// otherwise kAuto picks u64 when its 64 lanes hold every stream and the
+/// widest available backend above that — a 24-stream replay fills 24 of
+/// 64 u64 lanes instead of 24 of 512.  Never allocates.
+[[nodiscard]] Backend resolve_backend_for(Backend requested,
+                                          std::size_t streams);
 
 }  // namespace pml::sim

@@ -98,6 +98,37 @@ std::size_t backend_lanes(Backend b) {
   throw std::invalid_argument("backend_lanes: kAuto is not a concrete backend");
 }
 
+namespace {
+
+/// The PML_SIM_BACKEND override for kAuto: the forced concrete backend, or
+/// kAuto when the variable is unset, empty or "auto".  A forced backend
+/// that is unavailable is a configuration error (e.g. a CI leg typo) and
+/// must fail loudly.  Allocation-free: every valid name fits the
+/// small-string buffer parse_backend builds.
+Backend env_override() {
+  const char* env = std::getenv("PML_SIM_BACKEND");
+  if (env == nullptr || *env == '\0') return Backend::kAuto;
+  const Backend forced = parse_backend(env);
+  if (forced != Backend::kAuto && !backend_available(forced)) {
+    throw std::runtime_error(
+        std::string("PML_SIM_BACKEND=") + env +
+        " requests an unavailable backend (" +
+        (backend_compiled(forced) ? "CPU does not support it"
+                                  : "not compiled into this binary") +
+        ")");
+  }
+  return forced;
+}
+
+Backend widest_available() {
+  Backend widest = Backend::kU64;
+  if (backend_available(Backend::kAvx2)) widest = Backend::kAvx2;
+  if (backend_available(Backend::kAvx512)) widest = Backend::kAvx512;
+  return widest;
+}
+
+}  // namespace
+
 Backend resolve_backend(Backend requested) {
   if (requested != Backend::kAuto) {
     if (backend_available(requested)) return requested;
@@ -108,27 +139,16 @@ Backend resolve_backend(Backend requested) {
                                      : "not compiled into this binary") +
         ")");
   }
-  // Environment override first: a forced backend that is unavailable is a
-  // configuration error (e.g. a CI leg typo) and must fail loudly.
-  if (const char* env = std::getenv("PML_SIM_BACKEND");
-      env != nullptr && *env != '\0') {
-    const Backend forced = parse_backend(env);
-    if (forced != Backend::kAuto) {
-      if (!backend_available(forced)) {
-        throw std::runtime_error(
-            std::string("PML_SIM_BACKEND=") + env +
-            " requests an unavailable backend (" +
-            (backend_compiled(forced) ? "CPU does not support it"
-                                      : "not compiled into this binary") +
-            ")");
-      }
-      return forced;
-    }
-  }
-  Backend widest = Backend::kU64;
-  if (backend_available(Backend::kAvx2)) widest = Backend::kAvx2;
-  if (backend_available(Backend::kAvx512)) widest = Backend::kAvx512;
-  return widest;
+  const Backend forced = env_override();
+  return forced != Backend::kAuto ? forced : widest_available();
+}
+
+Backend resolve_backend_for(Backend requested, std::size_t streams) {
+  if (requested != Backend::kAuto) return resolve_backend(requested);
+  const Backend forced = env_override();
+  if (forced != Backend::kAuto) return forced;
+  return streams <= backend_lanes(Backend::kU64) ? Backend::kU64
+                                                  : widest_available();
 }
 
 }  // namespace pml::sim

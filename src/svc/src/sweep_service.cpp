@@ -66,9 +66,14 @@ void digest_workload(obs::Fnv1a& h, const core::CircuitWorkload& w) {
 
 // Only the options that can change a HardwareReport field participate.
 // Threading knobs (verify.num_threads, power_threads) are deliberately
-// excluded: the determinism contract of evaluate_circuit guarantees they
-// cannot affect results, so requests differing only in thread counts share
-// one cache entry.  validate_module likewise (validation can only throw,
+// excluded: under the determinism contract of evaluate_circuit they cannot
+// affect results, so requests differing only in thread counts share one
+// cache entry.  That contract requires a module whose sequential state is
+// reloaded every inference (every arch generator); for a module whose
+// state carries over between inferences (e.g. a free-running counter) the
+// power replay's chunk length, set by the thread count, can change the
+// activity, and a cached report may then reflect another request's
+// power_threads.  validate_module likewise (validation can only throw,
 // never change a result).  The SIMD `backend` knob is excluded for the
 // same reason as the threading knobs: every lane-word backend is proven
 // bit-identical to the u64 reference (tests/test_sim_backend.cpp), so a
@@ -77,7 +82,6 @@ void digest_workload(obs::Fnv1a& h, const core::CircuitWorkload& w) {
 // excluded too.
 void digest_options(obs::Fnv1a& h, const core::EvaluateOptions& o) {
   h.update_u64(o.power_samples);
-  h.update_u64(o.power_chunk_samples);
   h.update_f64(o.time_quantum_ms);
   h.update_u64(o.require_bit_exact ? 1 : 0);
   h.update_u64(o.verify.max_mismatches);

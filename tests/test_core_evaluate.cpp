@@ -5,9 +5,11 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/evaluate.hpp"
+#include "pml/sim/backend.hpp"
 
 namespace pml::core {
 namespace {
@@ -154,20 +156,41 @@ TEST(Evaluate, PowerReplayDeterministicAcrossThreadCounts) {
   const auto q = tiny_model();
   auto circuit = arch::build_sequential_svm(q);
   const auto lib = cells::CellLibrary::egfet();
-  const auto wl = make_workload(q);
-  EvaluateOptions single;
-  single.power_threads = 1;
-  single.power_chunk_samples = 4;
-  EvaluateOptions multi = single;
-  multi.power_threads = 4;
-  const HardwareReport a = evaluate_circuit(
-      circuit.module, circuit.cycles_per_inference, lib, wl, single);
-  const HardwareReport b = evaluate_circuit(
-      circuit.module, circuit.cycles_per_inference, lib, wl, multi);
-  // The merged activity is deterministic in the chunking alone, so the
-  // power numbers are bit-identical across worker configurations.
-  EXPECT_EQ(a.dynamic_mw, b.dynamic_mw);
-  EXPECT_EQ(a.energy_mj, b.energy_mj);
+  // Three copies of the 64-sample workload, so the derived chunking
+  // differs across the grid (u64: 3 samples per stream on 1 thread, 1 per
+  // stream in 3 batches on 4 threads; wider backends: 1 batch).
+  CircuitWorkload wl;
+  for (int r = 0; r < 3; ++r) {
+    const CircuitWorkload part = make_workload(q);
+    wl.feature_codes.insert(wl.feature_codes.end(), part.feature_codes.begin(),
+                            part.feature_codes.end());
+    wl.expected_class.insert(wl.expected_class.end(),
+                             part.expected_class.begin(),
+                             part.expected_class.end());
+  }
+  EvaluateOptions ref_opts;
+  ref_opts.power_samples = wl.feature_codes.size();
+  ref_opts.power_threads = 1;
+  ref_opts.backend = sim::Backend::kU64;
+  const HardwareReport ref = evaluate_circuit(
+      circuit.module, circuit.cycles_per_inference, lib, wl, ref_opts);
+  // The merged activity equals one serial replay stream, so the power
+  // numbers are bit-identical across backends and worker configurations.
+  std::vector<sim::Backend> backends = sim::available_backends();
+  backends.push_back(sim::Backend::kAuto);
+  for (const sim::Backend b : backends) {
+    for (const std::size_t threads : {1u, 4u}) {
+      EvaluateOptions opts = ref_opts;
+      opts.backend = b;
+      opts.power_threads = threads;
+      const HardwareReport got = evaluate_circuit(
+          circuit.module, circuit.cycles_per_inference, lib, wl, opts);
+      EXPECT_EQ(got.dynamic_mw, ref.dynamic_mw)
+          << sim::backend_name(b) << " x" << threads;
+      EXPECT_EQ(got.energy_mj, ref.energy_mj)
+          << sim::backend_name(b) << " x" << threads;
+    }
+  }
 }
 
 TEST(Evaluate, PowerSampleSubsetStillFillsReport) {

@@ -19,6 +19,7 @@
 #include "pml/ml/synthetic_datasets.hpp"
 #include "pml/obs/metrics.hpp"
 #include "pml/quant/svm_quant.hpp"
+#include "pml/sim/backend.hpp"
 
 namespace pml::obs {
 namespace {
@@ -138,6 +139,12 @@ TEST(ObsMetrics, FixedWorkloadCounterDeltasAreDeterministic) {
   EXPECT_GT(first.counter_value("sim.batch.lane_words"), 0u);
   EXPECT_GT(first.counter_value("sim.batch.batches"), 0u);
   EXPECT_GT(first.counter_value("sim.batch_event.lane_words"), 0u);
+  // The 16 power samples fit one batch word, so they ride one sample per
+  // lane in a single batch of the occupancy-picked backend.
+  EXPECT_EQ(first.counter_value("sim.batch_event.lanes_active"), 16u);
+  EXPECT_EQ(first.counter_value("sim.batch_event.lane_capacity"),
+            sim::backend_lanes(sim::resolve_backend_for(sim::Backend::kAuto,
+                                                        16)));
   // (opt.cost_probes stays zero here: the default area flow never consults
   // the cost model — only the cost-driven recipes probe it.)
   EXPECT_GT(first.counter_value("opt.pass.applications"), 0u);

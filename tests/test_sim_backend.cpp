@@ -1,5 +1,6 @@
 // SIMD backend contract: enum plumbing (names, lanes, resolution, the
-// PML_SIM_BACKEND environment override), and — the load-bearing part —
+// PML_SIM_BACKEND environment override, the power replay's occupancy
+// pick), and — the load-bearing part —
 // bit-exact equivalence of every compiled+supported lane-word backend
 // against the u64 reference on every generated architecture, through
 // every driver (probe, verify, activity, fault campaign).
@@ -24,6 +25,11 @@
 #include "pml/core/verify.hpp"
 #include "pml/sim/backend.hpp"
 #include "pml/sim/swar.hpp"
+#include "pml/util/alloc_hook.hpp"
+
+// Counts this binary's heap allocations (the occupancy pick must make
+// none).
+PML_INSTALL_COUNTING_ALLOC_HOOK;
 
 namespace pml::core {
 namespace {
@@ -231,6 +237,68 @@ TEST(SimBackend, EnvOverridesAuto) {
   }
 }
 
+TEST(SimBackend, OccupancyPickIsU64UpTo64StreamsWidestAbove) {
+  ScopedBackendEnv no_override(nullptr);
+  const Backend widest = sim::available_backends().back();
+  EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 0), Backend::kU64);
+  EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 1), Backend::kU64);
+  EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 64), Backend::kU64);
+  EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 65), widest);
+  EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 256), widest);
+  EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 257), widest);
+  EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 100000), widest);
+}
+
+TEST(SimBackend, OccupancyPickHonorsEnvOverride) {
+  const Backend widest = sim::available_backends().back();
+  {
+    ScopedBackendEnv force_u64("u64");
+    EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 100000),
+              Backend::kU64);
+  }
+  {
+    ScopedBackendEnv force_widest(sim::backend_name(widest));
+    EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 1), widest);
+  }
+  {
+    ScopedBackendEnv noop("auto");
+    EXPECT_EQ(sim::resolve_backend_for(Backend::kAuto, 1), Backend::kU64);
+  }
+  {
+    ScopedBackendEnv garbage("pentium");
+    EXPECT_THROW((void)sim::resolve_backend_for(Backend::kAuto, 1),
+                 std::invalid_argument);
+  }
+}
+
+TEST(SimBackend, OccupancyPickPassesExplicitBackendsThrough) {
+  // The override only applies to kAuto; a concrete request wins.
+  ScopedBackendEnv force_u64("u64");
+  for (const Backend b : {Backend::kU64, Backend::kAvx2, Backend::kAvx512}) {
+    if (sim::backend_available(b)) {
+      EXPECT_EQ(sim::resolve_backend_for(b, 1), b);
+      EXPECT_EQ(sim::resolve_backend_for(b, 100000), b);
+    } else {
+      EXPECT_THROW((void)sim::resolve_backend_for(b, 1), std::runtime_error);
+    }
+  }
+}
+
+TEST(SimBackend, OccupancyPickDoesNotAllocate) {
+  // It runs on every evaluation's zero-allocation path, with and without
+  // the override set.
+  for (const char* env : {static_cast<const char*>(nullptr), "u64", "auto"}) {
+    ScopedBackendEnv scoped(env);
+    const std::uint64_t before = util::thread_alloc_count();
+    for (const std::size_t streams : {1u, 64u, 200u, 5000u}) {
+      (void)sim::resolve_backend_for(Backend::kAuto, streams);
+      (void)sim::resolve_backend_for(Backend::kU64, streams);
+    }
+    EXPECT_EQ(util::thread_alloc_count() - before, 0u)
+        << "PML_SIM_BACKEND=" << (env != nullptr ? env : "(unset)");
+  }
+}
+
 TEST(SimBackend, EvalCellLanesRejectsSequentialCells) {
   EXPECT_THROW((void)sim::eval_cell_lanes(netlist::CellType::kDff, 1, 0, 0),
                std::logic_error);
@@ -340,26 +408,40 @@ TEST(SimBackendEquivalence, MergedActivityMatchesU64) {
   const QuantizedSvm q = random_svm(3, 3, 3, 4, 23);
   auto circuit = arch::build_sequential_svm(q);
   const auto lib = cells::CellLibrary::egfet();
+  // 1102 samples give every wide backend multi-sample chunks with a ragged
+  // final chunk on one thread (avx2: 220 x 5 + 2, avx512: 367 x 3 + 1), so
+  // the sweep covers multi-round replay and the masking of exhausted lanes
+  // on wide lane words; more threads shorten the chunks down to 1.  The
+  // merged counts must not depend on the chunking.
+  constexpr std::size_t kSamples = 1102;
+  for (const Backend b : wide) {
+    const std::size_t lanes = sim::backend_lanes(b);
+    const std::size_t chunk = (kSamples + lanes - 1) / lanes;
+    ASSERT_GT(chunk, 1u) << sim::backend_name(b);
+    ASSERT_NE(kSamples % chunk, 0u) << sim::backend_name(b);
+  }
   const auto wl = svm_workload(
-      q, random_samples(180, 3, q.input_format.max_code(), 61));
-  // chunk_samples defines the lane-streams; the merged counts must be
-  // invariant to how many streams ride per batch word.
+      q, random_samples(kSamples, 3, q.input_format.max_code(), 61));
   ActivityOptions ref_opts;
   ref_opts.backend = Backend::kU64;
-  ref_opts.chunk_samples = 7;  // ragged: 180 = 25x7 + 5
+  ref_opts.num_threads = 1;
   const sim::ActivityStats ref =
       collect_activity(circuit.module, lib, circuit.cycles_per_inference, wl,
                        wl.feature_codes.size(), ref_opts);
-  for (const Backend b : wide) {
-    ActivityOptions opts = ref_opts;
-    opts.backend = b;
-    const sim::ActivityStats got =
-        collect_activity(circuit.module, lib, circuit.cycles_per_inference,
-                         wl, wl.feature_codes.size(), opts);
-    EXPECT_EQ(got.net_toggles, ref.net_toggles);
-    EXPECT_EQ(got.net_functional, ref.net_functional);
-    EXPECT_EQ(got.dff_clock_events, ref.dff_clock_events);
-    EXPECT_EQ(got.cycles, ref.cycles);
+  for (const Backend b : sim::available_backends()) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ActivityOptions opts;
+      opts.backend = b;
+      opts.num_threads = threads;
+      const sim::ActivityStats got =
+          collect_activity(circuit.module, lib, circuit.cycles_per_inference,
+                           wl, wl.feature_codes.size(), opts);
+      EXPECT_EQ(got.net_toggles, ref.net_toggles)
+          << sim::backend_name(b) << " x" << threads;
+      EXPECT_EQ(got.net_functional, ref.net_functional);
+      EXPECT_EQ(got.dff_clock_events, ref.dff_clock_events);
+      EXPECT_EQ(got.cycles, ref.cycles);
+    }
   }
 }
 

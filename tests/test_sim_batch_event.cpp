@@ -4,7 +4,8 @@
 // functional outputs — on every generated architecture (sequential SVM,
 // parallel SVM, MLP) and on random netlists; ragged (<64 lane) batches,
 // back-to-back inference without reset, count masking, and the sharded
-// core::collect_activity driver against the scalar per-chunk reference.
+// core::collect_activity driver against one serial scalar stream on every
+// generator, backend and thread count.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,11 @@
 
 #include "pml/arch/mlp_circuit.hpp"
 #include "pml/arch/parallel_svm.hpp"
+#include "pml/arch/sequential_mlp.hpp"
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/cells/library.hpp"
 #include "pml/core/activity.hpp"
+#include "pml/sim/backend.hpp"
 #include "pml/sim/batch_event_sim.hpp"
 #include "pml/sim/cycle_sim.hpp"
 #include "pml/sim/event_sim.hpp"
@@ -487,40 +490,34 @@ namespace {
 
 using quant::QuantizedSvm;
 
-/// The scalar reference protocol collect_activity must reproduce exactly:
-/// independent contiguous chunks, each warmed up on its first sample
-/// (counters discarded) and then replayed in order on a fresh scalar
-/// EventSimulator.
-sim::ActivityStats scalar_reference(const netlist::Module& m,
+/// The scalar oracle collect_activity must reproduce exactly, whatever
+/// its chunking, backend or thread count: ONE serial stream on a fresh
+/// scalar EventSimulator — warm up on sample 0 (counters discarded), then
+/// replay samples 0..n-1 in order.
+sim::ActivityStats serial_reference(const netlist::Module& m,
                                     const cells::CellLibrary& lib,
                                     int cycles_per_inference,
                                     const CircuitWorkload& wl, std::size_t n,
-                                    std::size_t chunk, double quantum) {
+                                    double quantum) {
   const auto lv = sim::levelize_shared(m);
   const bool sequential = !lv->dffs.empty();
   const auto ports = feature_ports(m, wl.feature_codes[0].size());
-  sim::ActivityStats sum;
-  sum.net_toggles.assign(m.num_nets(), 0);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t len = std::min(chunk, n - begin);
-    sim::EventSimulator es(m, lib, quantum, lv);
-    const auto apply = [&](std::size_t s) {
-      for (std::size_t j = 0; j < ports.size(); ++j) {
-        es.set_port(*ports[j],
-                    static_cast<std::uint64_t>(wl.feature_codes[s][j]));
-      }
-      if (sequential) {
-        for (int c = 0; c < cycles_per_inference; ++c) es.step();
-      } else {
-        es.settle();
-      }
-    };
-    apply(begin);
-    es.clear_activity();
-    for (std::size_t s = begin; s < begin + len; ++s) apply(s);
-    sum.accumulate(es.activity());
-  }
-  return sum;
+  sim::EventSimulator es(m, lib, quantum, lv);
+  const auto apply = [&](std::size_t s) {
+    for (std::size_t j = 0; j < ports.size(); ++j) {
+      es.set_port(*ports[j],
+                  static_cast<std::uint64_t>(wl.feature_codes[s][j]));
+    }
+    if (sequential) {
+      for (int c = 0; c < cycles_per_inference; ++c) es.step();
+    } else {
+      es.settle();
+    }
+  };
+  apply(0);
+  es.clear_activity();
+  for (std::size_t s = 0; s < n; ++s) apply(s);
+  return es.activity();
 }
 
 QuantizedSvm small_model() {
@@ -564,14 +561,14 @@ TEST(CollectActivity, MatchesScalarReferenceSequentialRaggedChunk) {
   const auto wl = exhaustive_workload(q, 2);  // 128 samples
   ActivityOptions opts;
   opts.num_threads = 1;
-  opts.chunk_samples = 12;  // 10 full chunks + ragged 8-sample final chunk
+  opts.backend = sim::Backend::kU64;  // 58 chunks of 2, ragged final chunk
   // n = 115 also clips the workload (n < workload size).
   const auto batch = collect_activity(circuit.module, lib,
                                       circuit.cycles_per_inference, wl, 115,
                                       opts);
   const auto ref =
-      scalar_reference(circuit.module, lib, circuit.cycles_per_inference, wl,
-                       115, 12, opts.time_quantum_ms);
+      serial_reference(circuit.module, lib, circuit.cycles_per_inference, wl,
+                       115, opts.time_quantum_ms);
   expect_stats_equal(batch, ref);
 }
 
@@ -582,10 +579,9 @@ TEST(CollectActivity, MatchesScalarReferenceCombinational) {
   const auto wl = exhaustive_workload(q, 2);
   ActivityOptions opts;
   opts.num_threads = 1;
-  opts.chunk_samples = 16;
   const auto batch = collect_activity(circuit.module, lib, 1, wl, 120, opts);
-  const auto ref = scalar_reference(circuit.module, lib, 1, wl, 120, 16,
-                                    opts.time_quantum_ms);
+  const auto ref =
+      serial_reference(circuit.module, lib, 1, wl, 120, opts.time_quantum_ms);
   expect_stats_equal(batch, ref);
 }
 
@@ -598,10 +594,10 @@ TEST(CollectActivity, MatchesScalarReferenceMlp) {
       sim::random_samples(100, 3, q.input_format.max_code(), 901);
   ActivityOptions opts;
   opts.num_threads = 1;
-  opts.chunk_samples = 8;  // 12 full chunks + ragged 4-sample final chunk
+  opts.backend = sim::Backend::kU64;  // 50 chunks of 2
   const auto batch = collect_activity(circuit.module, lib, 1, wl, 100, opts);
-  const auto ref = scalar_reference(circuit.module, lib, 1, wl, 100, 8,
-                                    opts.time_quantum_ms);
+  const auto ref =
+      serial_reference(circuit.module, lib, 1, wl, 100, opts.time_quantum_ms);
   expect_stats_equal(batch, ref);
 }
 
@@ -611,10 +607,10 @@ TEST(CollectActivity, ThreadCountDoesNotChangeTheCounts) {
   const auto circuit = arch::build_sequential_svm(q);
   const auto wl = exhaustive_workload(q, 3);  // 192 samples
   ActivityOptions single;
-  single.num_threads = 1;
-  single.chunk_samples = 1;  // 192 chunks => 3 batches
+  single.num_threads = 1;  // 64 chunks of 3 => 1 batch
+  single.backend = sim::Backend::kU64;
   ActivityOptions multi = single;
-  multi.num_threads = 4;
+  multi.num_threads = 4;  // 192 chunks of 1 => 3 batches
   const auto a = collect_activity(circuit.module, lib,
                                   circuit.cycles_per_inference, wl, 192,
                                   single);
@@ -622,6 +618,91 @@ TEST(CollectActivity, ThreadCountDoesNotChangeTheCounts) {
                                   circuit.cycles_per_inference, wl, 192,
                                   multi);
   expect_stats_equal(a, b);
+}
+
+// The serial-stream contract on every generator: merged counts equal the
+// serial oracle's for every available backend and thread count, i.e. for
+// every chunking collect_activity derives (1-9 samples per stream, ragged
+// final chunks, 1-4 batches across the grid).
+struct NamedCircuit {
+  std::string name;
+  netlist::Module module;
+  int cycles_per_inference;
+  std::vector<std::vector<std::int64_t>> samples;
+};
+
+std::vector<NamedCircuit> every_generator(std::size_t n) {
+  const QuantizedSvm q = sim::random_svm(4, 3, 3, 4, 19);
+  // A small MLP: the scalar oracle on a combinational MLP is the slow
+  // leg of this test.
+  const quant::QuantizedMlp m = sim::random_mlp(2, 3, 3, 2, 43);
+  const auto xs = sim::random_samples(n, 3, q.input_format.max_code(), 7);
+  const auto mxs = sim::random_samples(n, 2, m.input_format.max_code(), 11);
+  opt::OptOptions raw;
+  raw.enabled = false;
+  std::vector<NamedCircuit> out;
+  {
+    auto c = arch::build_sequential_svm(q, raw);
+    out.push_back({"sequential_svm_raw", std::move(c.module),
+                   c.cycles_per_inference, xs});
+  }
+  {
+    auto c = arch::build_sequential_svm(q);
+    out.push_back({"sequential_svm_opt", std::move(c.module),
+                   c.cycles_per_inference, xs});
+  }
+  {
+    auto c = arch::build_parallel_svm(q);
+    out.push_back(
+        {"parallel_svm", std::move(c.module), c.cycles_per_inference, xs});
+  }
+  {
+    auto c = arch::build_mlp_circuit(m);
+    out.push_back({"mlp", std::move(c.module), c.cycles_per_inference, mxs});
+  }
+  {
+    auto c = arch::build_sequential_mlp(m);
+    out.push_back({"sequential_mlp", std::move(c.module),
+                   c.cycles_per_inference, mxs});
+  }
+  return out;
+}
+
+TEST(CollectActivity, EqualsSerialStreamOnEveryGeneratorBackendAndThreadCount) {
+  // 201 samples sweep every thread count (u64 chunks of 4, 2 and 1); 523
+  // samples on one thread give every backend multi-sample chunks with a
+  // ragged final chunk (u64 9, avx2 3, avx512 2), so exhausted lanes are
+  // masked on every lane word.
+  struct Sweep {
+    std::size_t samples;
+    std::vector<std::size_t> threads;
+  };
+  const auto lib = cells::CellLibrary::egfet();
+  for (const Sweep& sweep : {Sweep{201, {1, 2, 4}}, Sweep{523, {1}}}) {
+    const std::size_t n = sweep.samples;
+    for (const NamedCircuit& c : every_generator(n)) {
+      CircuitWorkload wl;
+      wl.feature_codes = c.samples;
+      const auto ref = serial_reference(c.module, lib, c.cycles_per_inference,
+                                        wl, n, 0.02);
+      std::uint64_t toggles = 0;
+      for (const auto t : ref.net_toggles) toggles += t;
+      ASSERT_GT(toggles, 0u) << c.name;
+      for (const sim::Backend b : sim::available_backends()) {
+        for (const std::size_t threads : sweep.threads) {
+          SCOPED_TRACE(c.name + " " + sim::backend_name(b) + " x" +
+                       std::to_string(threads) + " n=" + std::to_string(n));
+          ActivityOptions opts;
+          opts.backend = b;
+          opts.num_threads = threads;
+          const auto got = collect_activity(c.module, lib,
+                                            c.cycles_per_inference, wl, n,
+                                            opts);
+          expect_stats_equal(got, ref);
+        }
+      }
+    }
+  }
 }
 
 TEST(CollectActivity, RejectsBadWorkloads) {
