@@ -189,7 +189,10 @@ OptReport PassManager::run(netlist::Module& m) const {
                                             std::chrono::steady_clock::now());
           continue;
         }
-        const double candidate_cost = cost_model_->cost(candidate);
+        const double candidate_cost = [&] {
+          PML_OBS_SPAN("opt.cost_probe");
+          return cost_model_->cost(candidate);
+        }();
         ++timing.cost_probes;
         ++report.cost_probes;
         PML_OBS_COUNT("opt.cost_probes", 1);

@@ -1,18 +1,45 @@
 #pragma once
 // Width-generic bit-parallel (SWAR) *delay-accurate* event-driven
-// simulator.
+// simulator, evaluated as levelized waveforms.
 //
 // BatchEventSimulatorT<L> packs L::kWidth independent workload samples
 // into one lane word per net (bit L = lane L's logic value, stored as
-// L::kChunks uint64_t chunks) and advances a shared integer-tick timing
-// wheel over the levelized netlist.  Gate delays are lane-invariant (they
+// L::kChunks uint64_t chunks).  Gate delays are lane-invariant (they
 // depend only on the cell type), so every lane's transitions land on the
-// same tick grid as a scalar EventSimulator run of that lane alone: the
-// per-lane value trajectory — including every glitch — is bit-exact, and
-// a word-level event is a no-op in any lane whose value is unchanged.
+// same integer tick grid as a scalar EventSimulator run of that lane
+// alone: the per-lane value trajectory — including every glitch — is
+// bit-exact, and a word-level change is a no-op in any lane whose value
+// is unchanged.
+//
+// Waveform evaluation.  A propagation window (one settle(), or the clock
+// phase of step()) does not schedule events.  Its sources — the staged
+// inputs, or the DFF Q changes at clk-to-Q — become per-net waveforms:
+// runs of (tick, lane word) entries, each the net's value from that tick
+// on.  Every combinational cell is then visited once, in
+// Levelization::comb_order, so all of its input waveforms are complete
+// when it runs.  It merges them in tick order, evaluates its gate at
+// every tick where an input changed, and appends the result at
+// tick + delay whenever it differs from the output's running value.
+// This is exactly what a timing wheel computes — the same evaluations at
+// the same ticks on the same values — without per-event fanout walks,
+// dedup stamps or bucket pushes.  DFF D pins never wake a cell (DFFs are
+// not in comb_order), and a window whose sources plus evaluations exceed
+// the scalar oracle's event budget throws the same std::runtime_error.
+//
+// Memory.  Waveforms live in one pooled buffer owned by the simulator.
+// A net's waveform is reclaimed — its final value and functional count
+// committed — as soon as its last combinational reader has merged it,
+// and a full buffer compacts its live segments before it grows, so it
+// tracks the live frontier of the levelized sweep (at most ~4x it)
+// rather than the whole window.  Its capacity survives rebind(), which keeps
+// the zero-allocation pooling contract.
+//
 // The equivalence suites in tests/test_sim_batch_event.cpp (u64) and
-// tests/test_sim_backend.cpp (wide backends vs u64) prove it on generated
-// sequential-SVM, parallel-SVM, and MLP circuits and on random netlists.
+// tests/test_sim_backend.cpp (wide backends vs u64) prove the results
+// bit-exact against the scalar oracle on generated sequential-SVM,
+// parallel-SVM and MLP circuits, on random netlists and on the kernel's
+// edge cases (equal-tick reconvergence, one net on two pins, repeated
+// staging, long-lived sources).
 //
 // `BatchEventSimulator` remains the 64-lane scalar instantiation; AVX2
 // (256-lane) / AVX-512 (512-lane) instantiations are created only in the
@@ -25,15 +52,17 @@
 // accumulated ActivityStats equal the sum of scalar EventSimulator
 // ActivityStats over the counted lanes' sample histories.
 //
-// This is the engine behind core::collect_activity, which shards
-// batch-event workers across threads and replaces the scalar
-// sample-at-a-time replay in evaluate_circuit's power step.  The scalar
+// This is the engine behind core::collect_activity (the power replay)
+// and opt::SwitchingEnergyCost (the optimizer's cost probes).  The scalar
 // EventSimulator remains the reference oracle.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -75,7 +104,7 @@ class BatchEventSimulatorT {
   }
 
   /// (Re)bind to a module, reusing all internal storage — op tables, lane
-  /// words, timing-wheel buckets, activity counters: a pooled simulator
+  /// words, the waveform buffer, activity counters: a pooled simulator
   /// rebound to same-shaped modules under the same library performs zero
   /// heap allocation.  The module and levelization are borrowed and must
   /// outlive the binding; counters and the count mask are reset.
@@ -87,40 +116,26 @@ class BatchEventSimulatorT {
     if (time_quantum_ms <= 0) {
       throw std::invalid_argument("time quantum must be positive");
     }
+    drop_waves();  // a window abandoned by an exception left segments
     module_ = &module;
     lv_ = std::move(lv);
     // Same quantization as EventSimulator: equal tick grids are what make
     // the per-lane trajectories bit-exact against the scalar oracle.
-    delay_ticks_.assign(netlist::kNumCellTypes, 0);
-    int max_delay = 1;
     for (int t = 0; t < netlist::kNumCellTypes; ++t) {
       const double d =
           lib.params(static_cast<netlist::CellType>(t)).delay_ms;
-      delay_ticks_[t] =
-          std::max(1, static_cast<int>(std::lround(d / time_quantum_ms)));
-      max_delay = std::max(max_delay, delay_ticks_[t]);
+      delay_ticks_[t] = static_cast<std::uint32_t>(
+          std::max(1, static_cast<int>(std::lround(d / time_quantum_ms))));
     }
-    // Shrink-then-clear-then-grow keeps surviving bucket capacities (the
-    // event-wheel nodes of the pooling contract).
-    const std::size_t wheel_size = static_cast<std::size_t>(max_delay) + 1;
-    if (wheel_.size() > wheel_size) wheel_.resize(wheel_size);
-    for (auto& bucket : wheel_) bucket.clear();
-    wheel_.resize(wheel_size);
-
-    swar_cell_ops_into(cell_ops_, *module_);
+    const std::size_t nets = module_->num_nets();
+    segs_.assign(nets, Segment{});
+    bind_ops();
     swar_dff_ops_into(dffs_, *module_, *lv_);
-    values_.assign(module_->num_nets() * kChunks, 0);
+    values_.assign(nets * kChunks, 0);
     dff_state_.assign(dffs_.size() * kChunks, 0);
-    cell_epoch_.assign(module_->cells().size(), 0);
-    epoch_ = 0;
-    touched_cells_.clear();
-    window_start_.assign(module_->num_nets() * kChunks, 0);
-    net_window_epoch_.assign(module_->num_nets(), 0);
-    window_nets_.clear();
-    window_epoch_ = 0;
     std::fill(count_mask_, count_mask_ + kChunks, ~std::uint64_t{0});
-    activity_.net_toggles.assign(module_->num_nets(), 0);
-    activity_.net_functional.assign(module_->num_nets(), 0);
+    activity_.net_toggles.assign(nets, 0);
+    activity_.net_functional.assign(nets, 0);
     reset();
   }
   [[nodiscard]] bool bound() const noexcept { return module_ != nullptr; }
@@ -139,10 +154,8 @@ class BatchEventSimulatorT {
         values_[dffs_[i].q * kChunks + c] = dffs_[i].init;
       }
     }
-    for (auto& bucket : wheel_) bucket.clear();
-    wheel_pos_ = 0;
-    pending_events_ = 0;
     pending_inputs_.clear();
+    drop_waves();
     full_settle_zero_delay();
     clear_activity();
   }
@@ -166,13 +179,13 @@ class BatchEventSimulatorT {
 
   // --- stimulus -------------------------------------------------------------
   /// Stage a primary-input change on lanes [0, 64) (historical API; any
-  /// wider backend's remaining lanes are driven to 0); takes effect as a
-  /// time-0 event at the start of the next settle()/step().
+  /// wider backend's remaining lanes are driven to 0); takes effect at
+  /// tick 0 of the next settle()/step().
   void set_net(netlist::NetId net, std::uint64_t lanes) {
     if (net * kChunks >= values_.size()) {
       throw std::out_of_range("set_net: bad net");
     }
-    Event& e = pending_inputs_.emplace_back();
+    Staged& e = pending_inputs_.emplace_back();
     e.net = net;
     e.w[0] = lanes;
     for (std::size_t c = 1; c < kChunks; ++c) e.w[c] = 0;
@@ -182,7 +195,7 @@ class BatchEventSimulatorT {
     if (net * kChunks >= values_.size()) {
       throw std::out_of_range("set_net_chunks: bad net");
     }
-    Event& e = pending_inputs_.emplace_back();
+    Staged& e = pending_inputs_.emplace_back();
     e.net = net;
     std::copy(chunks, chunks + kChunks, e.w);
   }
@@ -225,29 +238,31 @@ class BatchEventSimulatorT {
   }
 
   // --- evaluation -----------------------------------------------------------
-  /// Propagate all pending events until the network is quiet (all lanes).
+  /// Propagate the staged inputs until the network is quiet (all lanes).
   void settle() {
-    for (const Event& e : pending_inputs_) {
-      schedule_chunks(0, e.net, e.w);
-    }
+    const auto cmask = L::load(count_mask_);
+    for (const Staged& e : pending_inputs_) add_source(e.net, e.w, cmask);
+    const std::uint64_t sources = pending_inputs_.size();
     pending_inputs_.clear();
-    run_wheel(/*count=*/true);
+    propagate(sources);
   }
-  /// settle(), then clock all DFFs; Q updates become events after the
-  /// clk-to-Q delay, exactly as in EventSimulator::step.
+  /// settle(), then clock all DFFs; Q changes become the sources of the
+  /// clock window (they land clk-to-Q after the edge, exactly as in
+  /// EventSimulator::step; one shared source tick, so it is tick 0 here).
   void step() {
     settle();
-    const std::size_t dff_delay = static_cast<std::size_t>(
-        delay_ticks_[static_cast<int>(netlist::CellType::kDff)]);
     for (std::size_t i = 0; i < dffs_.size(); ++i) {
       L::store(dff_state_.data() + i * kChunks,
                L::load(values_.data() + dffs_[i].d * kChunks));
     }
+    const auto cmask = L::load(count_mask_);
+    std::uint64_t sources = 0;
     for (std::size_t i = 0; i < dffs_.size(); ++i) {
-      const auto next = L::load(dff_state_.data() + i * kChunks);
+      const std::uint64_t* next = dff_state_.data() + i * kChunks;
       const auto q = L::load(values_.data() + dffs_[i].q * kChunks);
-      if (!L::is_zero(L::bxor(next, q))) {
-        schedule_word(dff_delay, dffs_[i].q, next);
+      if (!L::is_zero(L::bxor(L::load(next), q))) {
+        add_source(dffs_[i].q, next, cmask);
+        ++sources;
       }
     }
     std::uint64_t counted = 0;
@@ -256,7 +271,7 @@ class BatchEventSimulatorT {
     }
     activity_.dff_clock_events += dffs_.size() * counted;
     activity_.cycles += counted;
-    run_wheel(/*count=*/true);
+    propagate(sources);
   }
 
   // --- observation ----------------------------------------------------------
@@ -309,11 +324,48 @@ class BatchEventSimulatorT {
   [[nodiscard]] const Levelization& levelization() const { return *lv_; }
 
  private:
-  /// A (net, lane word) change applying at some tick of the wheel.
-  struct Event {
+  using Word = typename L::Word;
+
+  /// A staged (net, lane word) input change, applied at the next window.
+  struct Staged {
     netlist::NetId net;
     std::uint64_t w[kChunks];
   };
+  /// One lane word of the waveform buffer, aligned to its vector width
+  /// (capped at a cache line) so the wide backends never split a load.
+  struct alignas(kChunks * 8 < 64 ? kChunks * 8 : 64) WaveWord {
+    std::uint64_t w[kChunks];
+  };
+  /// A net's live waveform: `len` entries at [begin, begin + len) of the
+  /// buffer, followed by a kEndTick sentinel; len == 0: no waveform (the
+  /// net holds values_ for the whole window).
+  struct Segment {
+    std::uint32_t begin = 0;
+    std::uint32_t len = 0;
+  };
+  /// A segment's allocation record, for compaction: still live iff the
+  /// net's current segment starts at `begin`.
+  struct Alloc {
+    netlist::NetId net;
+    std::uint32_t begin;
+  };
+
+  /// A combinational cell in comb_order with its pins flattened, plus the
+  /// reclamation facts of the levelized sweep.
+  struct WaveOp {
+    netlist::CellType type;
+    /// Bit k set iff this op is the last comb reader of pin k's net.
+    std::uint8_t last_read;
+    /// Whether any comb cell reads `out` (else it is committed at once).
+    bool out_read;
+    netlist::NetId in[3];
+    netlist::NetId out;
+  };
+
+  static constexpr std::uint32_t kEndTick =
+      std::numeric_limits<std::uint32_t>::max();
+  /// The cursor of a net without a waveform: already at its end.
+  static constexpr std::uint32_t kNoWave[1] = {kEndTick};
 
   [[nodiscard]] const netlist::Port& find_port(const std::string& name) const {
     const netlist::Port* port = module_->find_output(name);
@@ -322,139 +374,276 @@ class BatchEventSimulatorT {
     return *port;
   }
 
-  void schedule_chunks(std::size_t delay_ticks, netlist::NetId net,
-                       const std::uint64_t* chunks) {
-    Event& e =
-        wheel_[(wheel_pos_ + delay_ticks) % wheel_.size()].emplace_back();
-    e.net = net;
-    std::copy(chunks, chunks + kChunks, e.w);
-    ++pending_events_;
-  }
-  void schedule_word(std::size_t delay_ticks, netlist::NetId net,
-                     typename L::Word w) {
-    Event& e =
-        wheel_[(wheel_pos_ + delay_ticks) % wheel_.size()].emplace_back();
-    e.net = net;
-    L::store(e.w, w);
-    ++pending_events_;
-  }
-
-  void run_wheel(bool count) {
+  /// Flatten comb_order into ops_ and mark, walking it backwards, each
+  /// net's last comb reader (segs_, all empty between windows, doubles as
+  /// the "read later" scratch).
+  void bind_ops() {
     const auto& cells = module_->cells();
-    std::uint64_t* const v = values_.data();
-    std::uint64_t guard = 0;
-    std::uint64_t evals = 0;  // lane-word cell evaluations this wheel run
-    const std::uint64_t kMaxEvents =
-        std::max<std::uint64_t>(1000, cells.size()) * 4096;
-
-    // One counted wheel run is one propagation window of the
-    // functional/glitch split (same windows as the scalar EventSimulator).
-    if (count) {
-      ++window_epoch_;
-      window_nets_.clear();
+    ops_.resize(lv_->comb_order.size());
+    for (std::size_t i = lv_->comb_order.size(); i-- > 0;) {
+      const SwarOp f = flatten_cell(cells[lv_->comb_order[i]]);
+      WaveOp& op = ops_[i];
+      op = WaveOp{f.type, 0, segs_[f.out].len != 0, {f.a, f.b, f.s}, f.out};
+      const int arity = netlist::cell_num_inputs(f.type);
+      for (int k = 0; k < arity; ++k) {
+        if (segs_[op.in[k]].len == 0) {
+          segs_[op.in[k]].len = 1;
+          op.last_read |= static_cast<std::uint8_t>(1u << k);
+        }
+      }
     }
+    std::fill(segs_.begin(), segs_.end(), Segment{});
+  }
+
+  [[nodiscard]] const std::uint64_t* wave_word(std::size_t i) const {
+    return wave_words_[i].w;
+  }
+
+  /// Apply one source change at the window's first tick.  Repeated
+  /// sources on one net apply in order, each counting its own toggles;
+  /// the net's single tick-0 entry holds the last value and wakes the
+  /// readers if any of them changed the net.
+  void add_source(netlist::NetId net, const std::uint64_t* w, Word cmask) {
+    Segment& seg = segs_[net];
+    const std::uint64_t* cur =
+        seg.len != 0 ? wave_word(seg.begin) : values_.data() + net * kChunks;
+    const auto word = L::load(w);
+    const auto diff = L::bxor(word, L::load(cur));
+    if (L::is_zero(diff)) return;
+    activity_.net_toggles[net] += L::popcount(L::band(diff, cmask));
+    if (seg.len == 0) {
+      reserve_waves(2);
+      seg = Segment{static_cast<std::uint32_t>(wave_top_), 1};
+      wave_ticks_[wave_top_] = 0;
+      wave_ticks_[wave_top_ + 1] = kEndTick;
+      wave_top_ += 2;
+      wave_allocs_.push_back(Alloc{net, seg.begin});
+      source_nets_.push_back(net);
+    }
+    L::store(wave_words_[seg.begin].w, word);
+  }
+
+  /// One propagation window: visit every comb cell in levelized order,
+  /// then commit the sources nobody reads.  `guard` counts the window's
+  /// source events toward the event budget.
+  void propagate(std::uint64_t guard) {
+    using enum netlist::CellType;
+    // No source changed a net (e.g. the settle() half of a step() with
+    // nothing staged): every cell would sleep, so skip the sweep.
+    if (source_nets_.empty()) return;
+    const std::uint64_t max_events =
+        std::max<std::uint64_t>(1000, module_->cells().size()) * 4096;
     const auto cmask = L::load(count_mask_);
-
-    while (pending_events_ > 0) {
-      auto& bucket = wheel_[wheel_pos_];
-      if (!bucket.empty()) {
-        // Phase 1: apply all net changes scheduled for this tick.
-        touched_cells_.clear();
-        ++epoch_;
-        for (const Event& e : bucket) {
-          --pending_events_;
-          if (++guard > kMaxEvents) {
-            throw std::runtime_error(
-                "batch event simulator: event budget exceeded");
-          }
-          std::uint64_t* const dst = v + e.net * kChunks;
-          const auto word = L::load(e.w);
-          const auto old = L::load(dst);
-          const auto diff = L::bxor(word, old);
-          if (L::is_zero(diff)) continue;
-          if (count) {
-            activity_.net_toggles[e.net] += L::popcount(L::band(diff, cmask));
-            if (net_window_epoch_[e.net] != window_epoch_) {
-              net_window_epoch_[e.net] = window_epoch_;
-              L::store(window_start_.data() + e.net * kChunks, old);
-              window_nets_.push_back(e.net);
-            }
-          }
-          L::store(dst, word);
-          for (const std::uint32_t ci : lv_->fanout[e.net]) {
-            if (cells[ci].type == netlist::CellType::kDff) continue;
-            if (cell_epoch_[ci] != epoch_) {
-              cell_epoch_[ci] = epoch_;
-              touched_cells_.push_back(ci);
-            }
-          }
-        }
-        bucket.clear();
-        // Phase 2: re-evaluate each affected gate once (all lanes in one
-        // pass); schedule its response after the gate delay.
-        evals += touched_cells_.size();
-        for (const std::uint32_t ci : touched_cells_) {
-          const SwarOp& op = cell_ops_[ci];
-          const auto out = eval_cell_lanes_w<L>(
-              op.type, L::load(v + op.a * kChunks), L::load(v + op.b * kChunks),
-              L::load(v + op.s * kChunks));
-          schedule_word(static_cast<std::size_t>(
-                            delay_ticks_[static_cast<int>(op.type)]),
-                        op.out, out);
-        }
+    std::uint64_t evals = 0;  // lane-word cell evaluations this window
+    for (const WaveOp& op : ops_) {
+      switch (op.type) {
+        case kInv: evals += eval_op<kInv, 1>(op, cmask); break;
+        case kBuf: evals += eval_op<kBuf, 1>(op, cmask); break;
+        case kNand2: evals += eval_op<kNand2, 2>(op, cmask); break;
+        case kNor2: evals += eval_op<kNor2, 2>(op, cmask); break;
+        case kAnd2: evals += eval_op<kAnd2, 2>(op, cmask); break;
+        case kOr2: evals += eval_op<kOr2, 2>(op, cmask); break;
+        case kXor2: evals += eval_op<kXor2, 2>(op, cmask); break;
+        case kXnor2: evals += eval_op<kXnor2, 2>(op, cmask); break;
+        case kMux2: evals += eval_op<kMux2, 3>(op, cmask); break;
+        case kDff:
+          throw std::logic_error("batch event simulator: DFF in comb_order");
       }
-      wheel_pos_ = (wheel_pos_ + 1) % wheel_.size();
-    }
-
-    if (count) {
-      for (const netlist::NetId net : window_nets_) {
-        const auto diff =
-            L::bxor(L::load(v + net * kChunks),
-                    L::load(window_start_.data() + net * kChunks));
-        activity_.net_functional[net] += L::popcount(L::band(diff, cmask));
+      // The scalar oracle's budget: one event per source and evaluation.
+      if (guard + evals > max_events) {
+        drop_waves();
+        throw std::runtime_error(
+            "batch event simulator: event budget exceeded");
       }
     }
+    for (const netlist::NetId net : source_nets_) {
+      if (segs_[net].len != 0) commit(net, cmask);
+    }
+    drop_waves();
     PML_OBS_COUNT("sim.batch_event.lane_words", evals);
+  }
+
+  /// Evaluate one N-input cell of type T over its input waveforms;
+  /// returns the number of lane-word evaluations (one per distinct input
+  /// tick).  T is a constant, so the shared gate function folds to the
+  /// one gate inside the merge loop.
+  template <netlist::CellType T, int N>
+  std::uint64_t eval_op(const WaveOp& op, Word cmask) {
+    std::size_t in_entries = 0;
+    for (int k = 0; k < N; ++k) in_entries += segs_[op.in[k]].len;
+    if (in_entries == 0) return 0;  // no input changes: the cell sleeps
+
+    // Output bound: one entry per input entry, a source, the sentinel.
+    reserve_waves(in_entries + segs_[op.out].len + 1);
+    // A source on a comb-driven net (set_net on an internal net) stays
+    // the first entry of the output waveform.  Read after the reserve,
+    // which may have compacted every segment.
+    const Segment src = segs_[op.out];
+
+    const std::uint32_t* ticks[N];
+    const WaveWord* words[N];
+    Word v[3];
+    for (int k = 0; k < N; ++k) {
+      const netlist::NetId p = op.in[k];
+      v[k] = L::load(values_.data() + p * kChunks);
+      const Segment seg = segs_[p];
+      ticks[k] = seg.len != 0 ? wave_ticks_.data() + seg.begin : kNoWave;
+      words[k] = wave_words_.data() + seg.begin;
+    }
+    for (int k = N; k < 3; ++k) v[k] = v[0];
+
+    std::uint32_t* out_tick = wave_ticks_.data() + wave_top_;
+    WaveWord* out_word = wave_words_.data() + wave_top_;
+    Word cur = L::load(values_.data() + op.out * kChunks);
+    if (src.len != 0) {
+      cur = L::load(wave_word(src.begin));
+      *out_tick++ = wave_ticks_[src.begin];
+      L::store((out_word++)->w, cur);
+      wave_dead_ += src.len + 1;
+    }
+    const std::uint32_t delay = delay_ticks_[static_cast<int>(T)];
+    const auto next_tick = [&] {
+      std::uint32_t t = *ticks[0];
+      for (int k = 1; k < N; ++k) t = std::min(t, *ticks[k]);
+      return t;
+    };
+    std::uint64_t evals = 0;
+    std::uint64_t toggles = 0;
+    for (std::uint32_t t = next_tick(); t != kEndTick; t = next_tick()) {
+      for (int k = 0; k < N; ++k) {
+        if (*ticks[k] == t) {
+          v[k] = L::load(words[k]->w);
+          ++ticks[k];
+          ++words[k];
+        }
+      }
+      ++evals;
+      const Word o = eval_cell_lanes_w<L>(T, v[0], v[1], v[2]);
+      const Word diff = L::bxor(o, cur);
+      if (!L::is_zero(diff)) {
+        toggles += L::popcount(L::band(diff, cmask));
+        *out_tick++ = t + delay;
+        L::store((out_word++)->w, o);
+        cur = o;
+      }
+    }
+    activity_.net_toggles[op.out] += toggles;
+
+    const auto len = static_cast<std::uint32_t>(
+        out_tick - (wave_ticks_.data() + wave_top_));
+    if (len != 0) {
+      *out_tick = kEndTick;
+      segs_[op.out] = Segment{static_cast<std::uint32_t>(wave_top_), len};
+      if (op.out_read) {
+        wave_allocs_.push_back(Alloc{op.out, segs_[op.out].begin});
+        wave_top_ += len + 1;
+      } else {
+        // Nobody merges it: commit straight from the buffer tail, which
+        // stays free (so it is not dead space either).
+        commit(op.out, cmask);
+        wave_dead_ -= len + 1;
+      }
+    }
+    // Reclaim the inputs this cell was the last to read.
+    for (int k = 0; k < N; ++k) {
+      const netlist::NetId p = op.in[k];
+      if ((op.last_read >> k & 1u) != 0 && segs_[p].len != 0) {
+        commit(p, cmask);
+      }
+    }
+    return evals;
+  }
+
+  /// Retire a net's waveform: its last entry is the window's final value,
+  /// and the lanes where it differs from the window's start value
+  /// (values_, untouched until now) carry one functional transition.
+  void commit(netlist::NetId net, Word cmask) {
+    Segment& seg = segs_[net];
+    std::uint64_t* const dst = values_.data() + net * kChunks;
+    const auto final_word = L::load(wave_word(seg.begin + seg.len - 1));
+    activity_.net_functional[net] +=
+        L::popcount(L::band(L::bxor(final_word, L::load(dst)), cmask));
+    L::store(dst, final_word);
+    wave_dead_ += seg.len + 1;
+    seg.len = 0;
+  }
+
+  /// Make room for `entries` more at wave_top_: compact when full, and
+  /// double the buffer only if the live segments plus the request would
+  /// still fill more than half of it — so at least half the buffer is
+  /// appended between compactions, and each costs at most as many moves.
+  void reserve_waves(std::size_t entries) {
+    if (wave_top_ + entries <= wave_ticks_.size()) return;
+    if (wave_dead_ != 0) compact_waves();
+    if (2 * (wave_top_ + entries) <= wave_ticks_.size()) return;
+    const std::size_t cap =
+        std::max({2 * wave_ticks_.size(), 2 * (wave_top_ + entries),
+                  std::size_t{1024}});
+    wave_ticks_.resize(cap);
+    wave_words_.resize(cap);
+  }
+
+  /// Slide every live segment (in allocation, hence address, order) down
+  /// over the dead ones.
+  void compact_waves() {
+    std::size_t top = 0;
+    std::size_t kept = 0;
+    for (const Alloc& a : wave_allocs_) {
+      Segment& seg = segs_[a.net];
+      if (seg.len == 0 || seg.begin != a.begin) continue;  // reclaimed
+      const std::size_t size = seg.len + 1;
+      std::memmove(wave_ticks_.data() + top, wave_ticks_.data() + seg.begin,
+                   size * sizeof(std::uint32_t));
+      std::memmove(wave_words_.data() + top, wave_words_.data() + seg.begin,
+                   size * sizeof(WaveWord));
+      seg.begin = static_cast<std::uint32_t>(top);
+      wave_allocs_[kept++] = Alloc{a.net, seg.begin};
+      top += size;
+    }
+    wave_allocs_.resize(kept);
+    wave_top_ = top;
+    wave_dead_ = 0;
+  }
+
+  /// Empty the buffer (end of a window, or abandoning a failed one).
+  void drop_waves() {
+    for (const Alloc& a : wave_allocs_) segs_[a.net].len = 0;
+    wave_allocs_.clear();
+    source_nets_.clear();
+    wave_top_ = 0;
+    wave_dead_ = 0;
   }
 
   void full_settle_zero_delay() {
     // Levelized consistent assignment used for initialization only (mirrors
     // EventSimulator::full_settle_zero_delay, kLanes lanes at a time).
     std::uint64_t* const v = values_.data();
-    for (const std::uint32_t idx : lv_->comb_order) {
-      const SwarOp& op = cell_ops_[idx];
+    for (const WaveOp& op : ops_) {
       L::store(v + op.out * kChunks,
-               eval_cell_lanes_w<L>(op.type, L::load(v + op.a * kChunks),
-                                    L::load(v + op.b * kChunks),
-                                    L::load(v + op.s * kChunks)));
+               eval_cell_lanes_w<L>(op.type, L::load(v + op.in[0] * kChunks),
+                                    L::load(v + op.in[1] * kChunks),
+                                    L::load(v + op.in[2] * kChunks)));
     }
   }
 
   const netlist::Module* module_ = nullptr;
   std::shared_ptr<const Levelization> lv_;
-  std::vector<int> delay_ticks_;  ///< per cell type
-  std::vector<SwarOp> cell_ops_;  ///< indexed by cell; DFF entries unused
+  std::uint32_t delay_ticks_[netlist::kNumCellTypes] = {};  ///< per type
+  std::vector<WaveOp> ops_;  ///< comb cells in comb_order
   std::vector<SwarDffOp> dffs_;
   std::vector<std::uint64_t> values_;     ///< kChunks words per net
   std::vector<std::uint64_t> dff_state_;  ///< captured D words, per DFF
-  /// Timing wheel: bucket [t % size] holds the events applying at tick t.
-  /// Sized to max cell delay + 1, so an in-flight event can never wrap
-  /// onto the tick being processed.
-  std::vector<std::vector<Event>> wheel_;
-  std::size_t wheel_pos_ = 0;
-  std::uint64_t pending_events_ = 0;
-  std::vector<Event> pending_inputs_;
-  std::vector<std::uint32_t> touched_cells_;  ///< dedup scratch
-  std::vector<std::uint64_t> cell_epoch_;     ///< dedup stamps
-  std::uint64_t epoch_ = 0;
+  std::vector<Staged> pending_inputs_;
   std::uint64_t count_mask_[kChunks] = {};
-  // Per-propagation-window start-of-window value words for the
-  // functional/glitch split (same windows as the scalar oracle: one per
-  // counted run of the wheel, so the per-lane split is bit-exact too).
-  std::vector<std::uint64_t> window_start_;
-  std::vector<std::uint64_t> net_window_epoch_;
-  std::vector<netlist::NetId> window_nets_;
-  std::uint64_t window_epoch_ = 0;
+  // The pooled waveform buffer: parallel tick / lane-word columns, live
+  // segments per net, and the allocation log compaction walks.
+  std::vector<std::uint32_t> wave_ticks_;
+  std::vector<WaveWord> wave_words_;
+  std::size_t wave_top_ = 0;   ///< first free entry
+  std::size_t wave_dead_ = 0;  ///< reclaimed entries below wave_top_
+  std::vector<Segment> segs_;  ///< per net
+  std::vector<Alloc> wave_allocs_;
+  std::vector<netlist::NetId> source_nets_;  ///< this window's sources
   ActivityStats activity_;
 };
 

@@ -96,8 +96,19 @@ struct LaneU64 {
   /// a & ~b (named after the hardware op the vector backends map it to).
   static Word andnot(Word a, Word b) { return a & ~b; }
   static bool is_zero(Word a) { return a == 0; }
+  /// Without the POPCNT instruction (the baseline x86-64 target this
+  /// backend is built for) std::popcount is a libgcc call, which makes
+  /// the event kernel's merge loop spill its state around every counted
+  /// transition; the inline bit-slice sum keeps it in registers.
   static std::uint64_t popcount(Word a) {
+#if defined(__POPCNT__) || !defined(__x86_64__)
     return static_cast<std::uint64_t>(std::popcount(a));
+#else
+    a -= (a >> 1) & 0x5555555555555555ull;
+    a = (a & 0x3333333333333333ull) + ((a >> 2) & 0x3333333333333333ull);
+    a = (a + (a >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return (a * 0x0101010101010101ull) >> 56;
+#endif
   }
 };
 static_assert(LaneWord<LaneU64>);

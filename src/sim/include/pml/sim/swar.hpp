@@ -115,23 +115,6 @@ inline void swar_comb_ops_into(std::vector<SwarOp>& ops,
   return ops;
 }
 
-/// Every cell, indexed by cell id (BatchEventSimulator's wake table).
-inline void swar_cell_ops_into(std::vector<SwarOp>& ops,
-                               const netlist::Module& module) {
-  ops.clear();
-  ops.reserve(module.cells().size());
-  for (const netlist::Cell& c : module.cells()) {
-    ops.push_back(flatten_cell(c));
-  }
-}
-
-[[nodiscard]] inline std::vector<SwarOp> swar_cell_ops(
-    const netlist::Module& module) {
-  std::vector<SwarOp> ops;
-  swar_cell_ops_into(ops, module);
-  return ops;
-}
-
 inline void swar_dff_ops_into(std::vector<SwarDffOp>& dffs,
                               const netlist::Module& module,
                               const Levelization& lv) {

@@ -3,7 +3,9 @@
 // per-net transition counts (including glitches), DFF clock events, and
 // functional outputs — on every generated architecture (sequential SVM,
 // parallel SVM, MLP) and on random netlists; ragged (<64 lane) batches,
-// back-to-back inference without reset, count masking, and the sharded
+// back-to-back inference without reset, count masking, the waveform
+// kernel's edge cases (equal-tick reconvergence, one net on two pins,
+// repeated staging, a source live across the whole sweep), and the sharded
 // core::collect_activity driver against one serial scalar stream on every
 // generator, backend and thread count.
 
@@ -19,6 +21,7 @@
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/cells/library.hpp"
 #include "pml/core/activity.hpp"
+#include "pml/obs/metrics.hpp"
 #include "pml/sim/backend.hpp"
 #include "pml/sim/batch_event_sim.hpp"
 #include "pml/sim/cycle_sim.hpp"
@@ -478,6 +481,149 @@ TEST(BatchEventSim, BoundsChecks) {
   EXPECT_THROW(BatchEventSimulator(m, lib, 0.0), std::invalid_argument);
   EXPECT_THROW(BatchEventSimulator(m, lib, 0.01, nullptr),
                std::invalid_argument);
+}
+
+// --- waveform-kernel edge cases ---------------------------------------------
+
+/// One staged change: `lanes` bit L is the value lane L's net takes.
+struct Stage {
+  NetId net;
+  std::uint64_t lanes;
+};
+
+/// Per round, stage the changes in order and settle, on one 64-lane batch
+/// and on 64 scalar EventSimulators fed each lane's bits.  Every net must
+/// agree in every lane after every round, and the batch counters must
+/// equal the scalar sums.
+void expect_staged_rounds_match_scalar(
+    const Module& m, const std::vector<std::vector<Stage>>& rounds) {
+  const auto lib = cells::CellLibrary::egfet();
+  const auto lv = levelize_shared(m);
+  BatchEventSimulator batch(m, lib, 0.01, lv);
+  std::vector<EventSimulator> scalar;
+  scalar.reserve(kLanes);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    scalar.emplace_back(m, lib, 0.01, lv);
+  }
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    for (const Stage& st : rounds[r]) {
+      batch.set_net(st.net, st.lanes);
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        scalar[lane].set_net(st.net, ((st.lanes >> lane) & 1u) != 0);
+      }
+    }
+    batch.settle();
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      scalar[lane].settle();
+      for (NetId n = 0; n < m.num_nets(); ++n) {
+        ASSERT_EQ(batch.net(n, lane), scalar[lane].net(n))
+            << "net " << n << " lane " << lane << " round " << r;
+      }
+    }
+  }
+  ActivityStats sum;
+  for (const EventSimulator& es : scalar) sum.accumulate(es.activity());
+  EXPECT_EQ(batch.activity().net_toggles, sum.net_toggles);
+  EXPECT_EQ(batch.activity().net_functional, sum.net_functional);
+}
+
+std::uint64_t lane_words_now() {
+  return obs::snapshot_metrics().counter_value("sim.batch_event.lane_words");
+}
+
+TEST(BatchEventKernel, EqualTickReconvergenceEvaluatesOncePerTick) {
+  // a reaches both XOR pins through two equal-delay INV-INV paths, so the
+  // pins change at the same tick.  One evaluation there sees both new
+  // values and y stays 0; evaluating between the two pin updates would
+  // pulse y.
+  Module m;
+  const NetId a = m.add_input_port("a", 1)[0];
+  const NetId p = m.add_gate_raw(CellType::kInv,
+                                 m.add_gate_raw(CellType::kInv, a));
+  const NetId q = m.add_gate_raw(CellType::kInv,
+                                 m.add_gate_raw(CellType::kInv, a));
+  const NetId y = m.add_gate_raw(CellType::kXor2, p, q);
+  m.add_output_port("y", {y});
+  expect_staged_rounds_match_scalar(
+      m, {{{a, 0xF0F0F0F0F0F0F0F0ull}}, {{a, ~0ull}}, {{a, 0}}});
+
+  const auto lib = cells::CellLibrary::egfet();
+  BatchEventSimulator sim(m, lib, 0.01);
+  sim.set_net(a, 0x00FF00FF00FF00FFull);
+  const std::uint64_t before = lane_words_now();
+  sim.settle();
+  // Four inverters once each, then XOR once at the shared tick.
+  EXPECT_EQ(lane_words_now() - before, 5u);
+  EXPECT_EQ(sim.activity().net_toggles[y], 0u);
+}
+
+TEST(BatchEventKernel, OneNetOnTwoPins) {
+  // NAND2(x, x) and MUX2 with its select on the d0 net: both pins of one
+  // cell read the same waveform.
+  Module m;
+  const auto x = m.add_input_port("x", 2);
+  const NetId d = m.add_gate_raw(CellType::kInv,
+                                 m.add_gate_raw(CellType::kBuf, x[1]));
+  const NetId nand = m.add_gate_raw(CellType::kNand2, x[0], x[0]);
+  const NetId mux = m.add_gate_raw(CellType::kMux2, x[0], d, x[0]);
+  const NetId y = m.add_gate_raw(CellType::kXor2, nand, mux);
+  m.add_output_port("y", {nand, mux, y});
+  std::uint64_t s = 0x1234567;
+  std::vector<std::vector<Stage>> rounds;
+  for (int r = 0; r < 8; ++r) {
+    rounds.push_back({{x[0], xorshift(s)}, {x[1], xorshift(s)}});
+  }
+  expect_staged_rounds_match_scalar(m, rounds);
+}
+
+TEST(BatchEventKernel, InputStagedTwiceBeforeOneSettle) {
+  // Each staged value applies in order at tick 0 and counts its own
+  // toggles; the readers see the last one.  Restoring the old value makes
+  // a zero-width pulse: two toggles, no functional transition.  (Twice,
+  // not more: the scalar oracle's event heap keeps the staging order of
+  // two same-tick changes to one net, but not in general of more.)
+  Module m;
+  const NetId a = m.add_input_port("a", 1)[0];
+  const NetId b = m.add_input_port("b", 1)[0];
+  const NetId y = m.add_gate_raw(
+      CellType::kAnd2, m.add_gate_raw(CellType::kInv, a), b);
+  m.add_output_port("y", {y});
+  expect_staged_rounds_match_scalar(
+      m, {{{a, 0xFFFF0000FFFF0000ull}, {b, ~0ull}, {a, 0xFF00FF00FF00FF00ull}},
+          {{a, 0}, {a, 0xFF00FF00FF00FF00ull}},
+          {{b, 0}, {a, ~0ull}, {b, 0x5555555555555555ull}}});
+}
+
+TEST(BatchEventKernel, SourceReadByFirstAndLastLevelStaysLive) {
+  // x0 feeds level 1 and, through `tail`, the deepest cell: its waveform
+  // must survive the whole levelized sweep while thousands of other
+  // waveforms are created and reclaimed around it.
+  Module m;
+  const auto x = m.add_input_port("x", 8);
+  std::uint64_t s = 0xC0FFEE;
+  std::vector<NetId> layer(x.begin(), x.end());
+  static constexpr CellType kTwo[] = {CellType::kXor2, CellType::kNand2,
+                                      CellType::kNor2, CellType::kXnor2};
+  for (int depth = 0; depth < 24; ++depth) {
+    std::vector<NetId> next;
+    for (int i = 0; i < 48; ++i) {
+      const NetId a = layer[xorshift(s) % layer.size()];
+      const NetId b = layer[xorshift(s) % layer.size()];
+      next.push_back(m.add_gate_raw(kTwo[xorshift(s) % 4], a, b));
+    }
+    layer = std::move(next);
+  }
+  const NetId tail = m.add_gate_raw(CellType::kAnd2, layer[0], x[0]);
+  m.add_output_port("y", {tail, layer[1], layer[2]});
+  const auto lv = levelize(m);
+  ASSERT_EQ(lv.net_depth[tail], lv.max_depth);
+  std::vector<std::vector<Stage>> rounds;
+  for (int r = 0; r < 6; ++r) {
+    std::vector<Stage> round;
+    for (const NetId n : x) round.push_back({n, xorshift(s)});
+    rounds.push_back(std::move(round));
+  }
+  expect_staged_rounds_match_scalar(m, rounds);
 }
 
 }  // namespace
