@@ -9,12 +9,13 @@
 // fault usually corrupts one classifier (localized error): the experiment
 // quantifies that robustness trade-off, which the paper does not evaluate.
 //
-// The campaign runs on core::run_fault_campaign — 63 fault variants plus
-// the golden reference per pass of the 64-way sim::BatchFaultSimulator —
-// which turns the old 5-point, few-trial sweep into a dense campaign
-// (every single-fault site exhaustively, plus hundreds of multi-fault
-// trials).  The scalar CycleSimulator::force_net replay is retained as the
-// timed reference and correctness oracle.
+// The campaign runs on core::run_fault_campaign — kLanes - 1 fault
+// variants plus the golden reference per pass of sim::BatchFaultSimulator,
+// each pass evaluating only its faults' fanout cone — which turns the old
+// 5-point, few-trial sweep into a dense campaign (every single-fault site
+// exhaustively, plus hundreds of multi-fault trials).  The scalar
+// CycleSimulator::force_net replay is retained as the timed reference and
+// correctness oracle.
 //
 // Emits a machine-readable JSON object on stdout (consumed by the CI perf
 // gate via scripts/check_perf.py); the human-readable summary goes to
@@ -23,7 +24,9 @@
 // A SIMD comparison section times every compiled+supported wide lane-word
 // backend against u64 on a variant set sized to fill one AVX-512 pass
 // (511 variants + golden) and emits simd.<name>_vs_u64 ratios — gated in
-// CI as OPTIONAL-IF-UNSUPPORTED.
+// CI as OPTIONAL-IF-UNSUPPORTED.  The exhaustive single-fault campaign is
+// also timed on its own, on u64 and the widest backend, as info
+// (campaign.single_fault.sequential.{seconds,variant_samples_per_sec}).
 //
 // Usage: bench_fault_injection [--quick] [--trace out.json] [--metrics]
 //                              [--backend u64|avx2|avx512|auto]
@@ -326,6 +329,30 @@ int main(int argc, char** argv) {
     simd.set(name + "_vs_u64", vsps / simd_u64_vsps);
   }
 
+  // --- exhaustive single-fault campaign on its own (info only) --------------
+  // Single faults are where cone restriction pays: most sites reach a small
+  // part of the circuit and some never reach `class`.  The gated numbers
+  // above use random 2-fault sets, whose cones cover most of the circuit,
+  // so they barely show it.  One thread, on u64 and the widest backend.
+  obs::Json single_seconds = obs::Json::object();
+  obs::Json single_vsps = obs::Json::object();
+  for (const sim::Backend b :
+       {sim::Backend::kU64, sim::available_backends().back()}) {
+    core::FaultCampaignOptions sopts = copts;
+    sopts.backend = b;
+    benchutil::Stopwatch ssw;
+    (void)core::run_fault_campaign(seq.module, seq.cycles_per_inference, wl,
+                                   seq_singles, sopts);
+    const double secs = ssw.seconds();
+    const double vsps = static_cast<double>(seq_singles.size() * n) / secs;
+    std::cerr << "  single faults, " << sim::backend_name(b)
+              << " (1 thr): " << static_cast<long>(vsps)
+              << " variant-samples/s (" << seq_singles.size()
+              << " sites)\n";
+    single_seconds.set(sim::backend_name(b), secs);
+    single_vsps.set(sim::backend_name(b), vsps);
+  }
+
   // --- machine-readable record ----------------------------------------------
   obs::Json rec = session.record();
   rec.set("dataset", data.name);
@@ -356,7 +383,10 @@ int main(int argc, char** argv) {
                         obs::Json::object()
                             .set("sites", seq_singles.size())
                             .set("mean_accuracy", mean_acc(seq_single_r))
-                            .set("broken", broken_count(seq_single_r)))
+                            .set("broken", broken_count(seq_single_r))
+                            .set("seconds", std::move(single_seconds))
+                            .set("variant_samples_per_sec",
+                                 std::move(single_vsps)))
                    .set("parallel",
                         obs::Json::object()
                             .set("sites", par_singles.size())

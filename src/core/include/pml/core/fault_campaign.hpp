@@ -5,22 +5,28 @@
 // Printed processes have defect rates orders of magnitude above silicon,
 // and the paper's folded sequential SVM concentrates risk: one shared MAC
 // engine means a single stuck-at fault corrupts every class score.  A
-// campaign takes a list of fault sets (each a list of stuck-at sites),
-// packs kLanes - 1 of them per pass of the bit-parallel
-// sim::BatchFaultSimulator — 63 / 255 / 511 under u64 / AVX2 / AVX-512
-// (lane 0
-// carries the fault-free golden reference for free), and shards the
-// batches across std::thread workers sharing one Levelization — the same
-// pattern as core::verify_workload / core::collect_activity.
+// campaign takes a list of fault sets (each a list of stuck-at sites) and
+// packs them into the fewest passes of the bit-parallel
+// sim::BatchFaultSimulator that hold at most kLanes - 1 each — 63 / 255 /
+// 511 under u64 / AVX2 / AVX-512 (lane 0 carries the fault-free golden
+// reference for free) — sized within one of each other.  Each pass
+// evaluates only the fanout cone of its faults: outside it every lane is
+// fault-free, so one single-lane golden replay per campaign records what
+// the cones read from outside, and each pass is fed that trace.  A pass
+// whose cone cannot reach `class` is skipped, its variants taking the
+// golden count.  Passes run as tasks on the shared util::TaskPool and
+// share one Levelization — the same pattern as core::verify_workload /
+// core::collect_activity.
 //
 // Protocol, per fault variant: install the stuck-at faults, reset the
 // circuit (power-on DFF state, settle with faults applied), then replay
 // the evaluation samples free-running in workload order, counting
 // misclassifications against the workload's expected classes.  Each batch
 // starts from reset, so per-variant counts are deterministic in the fault
-// sets and workload alone — never in the thread configuration or batch
-// claim order.  The scalar equivalent (CycleSimulator + force_net + reset
-// + replay) is the oracle the test suite checks against.
+// sets and workload alone — never in the backend, the packing, the cones,
+// the thread configuration or batch claim order.  The scalar equivalent
+// (CycleSimulator + force_net + reset + replay) is the oracle the test
+// suite checks against.
 
 #include <cstdint>
 #include <limits>
@@ -61,18 +67,22 @@ struct FaultCampaignOptions {
   /// Worker threads; 0 = the shared util::TaskPool's width (clamped to
   /// the batch count, so small campaigns never fan out idle slots).
   std::size_t num_threads = 0;
-  /// Evaluation samples per variant (clamped to the workload size).
+  /// Evaluation samples per variant (clamped to the workload size).  The
+  /// golden trace holds one bit per traced net per settle, so its memory
+  /// grows with samples x settles per sample (cycles_per_inference + 1).
   std::size_t max_samples = std::numeric_limits<std::size_t>::max();
   /// Optional pre-derived levelization shared with the caller's other
   /// analyses; nullptr derives one internally.
   std::shared_ptr<const sim::Levelization> levelization;
-  /// Optional cooperative cancellation, checked between worker batches
-  /// (throws util::Cancelled) — a multi-hour campaign can be abandoned
-  /// at the next variant-batch boundary.  Null = no checks.
+  /// Optional cooperative cancellation, checked per sample of the golden
+  /// replay and between worker batches (throws util::Cancelled) — a
+  /// multi-hour campaign can be abandoned at the next variant-batch
+  /// boundary.  Null = no checks.
   const util::CancellationToken* cancel = nullptr;
   /// SWAR lane-word backend (kAuto = widest available; see
   /// sim::resolve_backend).  A wider backend packs more variants per pass
-  /// (63 / 255 / 511 + the golden lane) with identical per-variant counts.
+  /// (up to 63 / 255 / 511 + the golden lane) with identical per-variant
+  /// counts.
   sim::Backend backend = sim::Backend::kAuto;
 };
 
@@ -87,7 +97,9 @@ struct FaultVariantResult {
 };
 
 struct FaultCampaignResult {
-  /// Fault-free reference (lane 0), on the same samples and protocol.
+  /// Fault-free reference (lane 0 of every simulated pass, or the golden
+  /// replay when no pass can reach `class`), on the same samples and
+  /// protocol.
   FaultVariantResult golden;
   /// One entry per input fault set, in input order.
   std::vector<FaultVariantResult> variants;

@@ -19,12 +19,14 @@
 //    chunking, and so whatever the lane width and thread count.
 //  - fault: every batch starts from power-on reset and variants are
 //    lane-independent, so per-variant counts do not depend on packing
-//    (63 vs 255 vs 511 variants per pass).
+//    (63 vs 255 vs 511 variants per pass) — nor on the cone a batch is
+//    simulated on, since outside it every lane equals the golden trace.
 //  - probe: reset-per-batch makes even free-running sequential state
 //    width-invariant (see backend_probe.hpp).
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -158,6 +160,8 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
       PML_OBS_COUNT("sim.batch.batches", 1);
       const std::size_t begin = b * kLanes;
       const std::size_t count = std::min(kLanes, num_samples - begin);
+      PML_OBS_COUNT("sim.batch.lanes_active", count);
+      PML_OBS_COUNT("sim.batch.lane_capacity", kLanes);
       bsim.set_active_lanes(count);
       for (std::size_t j = 0; j < ports.size(); ++j) {
         for (std::size_t lane = 0; lane < count; ++lane) {
@@ -342,75 +346,74 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
 
 template <class L>
 void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
-  // Lane 0 carries the golden reference, so kLanes - 1 variants ride per
-  // batch (63 scalar, 255 AVX2, 511 AVX-512).
-  constexpr std::size_t kVariantLanes = L::kWidth - 1;
-  const CircuitWorkload& workload = *job.workload;
-  const std::vector<const netlist::Port*>& ports = *job.ports;
+  // Lane 0 carries the golden reference; the driver packed at most
+  // kLanes - 1 variants per batch (63 scalar, 255 AVX2, 511 AVX-512).
+  constexpr std::size_t kLanes = L::kWidth;
+  const std::vector<FaultBatch>& batches = *job.batches;
   const std::vector<FaultSet>& fault_sets = *job.fault_sets;
-  const std::size_t n = job.num_samples;
-  const std::size_t num_sets = fault_sets.size();
-  const std::size_t num_batches =
-      (num_sets + kVariantLanes - 1) / kVariantLanes;
-  const std::size_t num_threads = clamp_threads(job.num_threads, num_batches);
+  const GoldenTrace& trace = *job.trace;
+  const std::size_t num_threads = clamp_threads(job.num_threads,
+                                                batches.size());
 
   std::atomic<std::size_t> next_batch{0};
 
-  // Each batch writes disjoint result slots (its own variants, plus
-  // golden for batch 0 only), so workers need no locking on results.
+  // Each batch writes disjoint result slots (its own variants and its own
+  // golden count), so workers need no locking on results.
   auto worker = [&](std::size_t /*thread_index*/) {
     PML_OBS_SPAN("fault.worker");
     sim::BatchFaultSimulatorT<L> bsim(*job.module, job.lv);
-    std::size_t miscount[L::kWidth];
+    std::size_t miscount[kLanes];
     for (;;) {
       // Cancellation checkpoint between variant batches: a long campaign
       // can be abandoned without waiting for the full sweep.
       if (job.cancel != nullptr) job.cancel->check("fault.batch");
       const std::size_t b = next_batch.fetch_add(1, std::memory_order_relaxed);
-      if (b >= num_batches) return;
-      const std::size_t begin = b * kVariantLanes;
-      const std::size_t count = std::min(kVariantLanes, num_sets - begin);
-      PML_OBS_COUNT("fault.batches", 1);
-      PML_OBS_COUNT("fault.variants", count);
+      if (b >= batches.size()) return;
+      const FaultBatch& batch = batches[b];
+      PML_OBS_COUNT("fault.lanes_active", batch.count + 1);
+      PML_OBS_COUNT("fault.lane_capacity", kLanes);
 
       bsim.clear_faults();
-      for (std::size_t v = 0; v < count; ++v) {
-        for (const StuckAtFault& f : fault_sets[begin + v].faults) {
+      bsim.restrict_to(batch.comb, batch.dffs);
+      for (std::size_t v = 0; v < batch.count; ++v) {
+        for (const StuckAtFault& f : fault_sets[batch.begin + v].faults) {
           bsim.set_fault(f.net, v + 1, f.stuck_value);
         }
       }
-      // Every batch starts from power-on reset (faults applied during the
-      // settle), making the per-variant counts independent of batch order.
-      bsim.reset();
-
-      std::fill(miscount, miscount + count + 1, std::size_t{0});
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < ports.size(); ++j) {
-          bsim.set_port(*ports[j], static_cast<std::uint64_t>(
-                                       workload.feature_codes[i][j]));
+      // Outside the cone every lane holds the fault-free value: drive the
+      // boundary nets the cone reads from the golden trace, broadcasting
+      // only the bits that changed since the previous settle (all zero at
+      // power-on).
+      const auto settle = [&](std::size_t row) {
+        const std::uint64_t* const cur = trace.rows.data() + row * trace.words;
+        for (const auto& [word, mask] : batch.feed) {
+          const std::uint64_t prev = row == 0 ? 0 : cur[word - trace.words];
+          for (std::uint64_t diff = (cur[word] ^ prev) & mask; diff != 0;
+               diff &= diff - 1) {
+            const auto bit = static_cast<unsigned>(std::countr_zero(diff));
+            bsim.set_net(trace.nets[word * 64 + bit],
+                         ((cur[word] >> bit) & 1u) != 0);
+          }
         }
-        if (job.sequential) {
-          for (int c = 0; c < job.cycles_per_inference; ++c) bsim.step();
-        } else {
-          bsim.propagate();
-        }
-        const int expected = workload.expected_class[i];
-        for (std::size_t lane = 0; lane <= count; ++lane) {
+        bsim.propagate();
+      };
+      std::fill(miscount, miscount + batch.count + 1, std::size_t{0});
+      run_campaign_protocol(bsim, job, settle, [&](std::size_t i) {
+        const int expected = job.workload->expected_class[i];
+        for (std::size_t lane = 0; lane <= batch.count; ++lane) {
           const int predicted =
               static_cast<int>(bsim.port_unsigned(*job.class_port, lane));
           miscount[lane] += predicted != expected;
         }
+      });
+      for (std::size_t v = 0; v < batch.count; ++v) {
+        result.variants[batch.begin + v].misclassified = miscount[v + 1];
       }
-      for (std::size_t v = 0; v < count; ++v) {
-        result.variants[begin + v].misclassified = miscount[v + 1];
-      }
-      // Lane 0 recomputes the same golden run in every batch; record the
-      // canonical copy from batch 0.
-      if (b == 0) result.golden.misclassified = miscount[0];
+      job.golden_counts[b] = miscount[0];
     }
   };
 
-  util::run_workers(num_threads, next_batch, num_batches, worker,
+  util::run_workers(num_threads, next_batch, batches.size(), worker,
                     "fault.worker");
 }
 

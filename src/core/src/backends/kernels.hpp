@@ -13,7 +13,9 @@
 // everywhere inside a backend TU.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "pml/cells/library.hpp"
@@ -62,13 +64,70 @@ struct ActivityJob : JobBase {
   EvalContext* context = nullptr;
 };
 
+/// One variant batch of a fault campaign that can reach `class`, with the
+/// cone it is simulated on (see fault_campaign.cpp).
+struct FaultBatch {
+  std::size_t begin = 0;  ///< variants [begin, begin + count)
+  std::size_t count = 0;
+  std::vector<std::uint32_t> comb;  ///< cone comb cells, levelized order
+  std::vector<std::uint32_t> dffs;  ///< cone DFFs
+  /// (trace word, column mask) pairs: the boundary nets and out-of-cone
+  /// class bits this batch drives from the golden trace.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> feed;
+};
+
+/// The fault-free value of selected nets after every settle of the
+/// campaign protocol, bit-packed: row r, column c is nets[c] after settle r.
+struct GoldenTrace {
+  std::vector<netlist::NetId> nets;
+  std::size_t words = 0;  ///< uint64 words per row
+  std::vector<std::uint64_t> rows;
+};
+
 struct FaultJob : JobBase {
   const CircuitWorkload* workload = nullptr;
   const netlist::Port* class_port = nullptr;
   const std::vector<FaultSet>* fault_sets = nullptr;
   std::size_t num_samples = 0;
+  /// Propagates per sample: 1 combinational, cycles_per_inference + 1
+  /// sequential (the settle before the first clock edge, then one per
+  /// edge), 0 for a sequential circuit clocked 0 times.
+  std::size_t settles_per_sample = 0;
   std::size_t num_threads = 0;
+  /// Batches to simulate, in claim order; never empty.
+  const std::vector<FaultBatch>* batches = nullptr;
+  const GoldenTrace* trace = nullptr;
+  /// Out: lane 0's misclassification count, one slot per batch.
+  std::size_t* golden_counts = nullptr;
 };
+
+/// The campaign protocol, shared by the golden replay and every variant
+/// batch so their settles line up one to one with the trace rows: power
+/// on and settle (row 0); then per sample, drive the feature ports and
+/// settle `settles_per_sample` times, clocking before every settle but the
+/// first.  This is exactly the reset + set_port + step() sequence of the
+/// scalar oracle.  `settle(row)` must propagate `sim`; `sample_done(i)`
+/// runs after sample i's last settle.
+template <class Sim, class Settle, class SampleDone>
+void run_campaign_protocol(Sim& sim, const FaultJob& job, Settle&& settle,
+                           SampleDone&& sample_done) {
+  const CircuitWorkload& workload = *job.workload;
+  const std::vector<const netlist::Port*>& ports = *job.ports;
+  std::size_t row = 0;
+  sim.power_on();
+  settle(row++);
+  for (std::size_t i = 0; i < job.num_samples; ++i) {
+    for (std::size_t j = 0; j < ports.size(); ++j) {
+      sim.set_port(*ports[j],
+                   static_cast<std::uint64_t>(workload.feature_codes[i][j]));
+    }
+    for (std::size_t s = 0; s < job.settles_per_sample; ++s) {
+      if (s > 0) sim.clock();
+      settle(row++);
+    }
+    sample_done(i);
+  }
+}
 
 struct ProbeJob : JobBase {
   const std::vector<std::vector<std::int64_t>>* samples = nullptr;

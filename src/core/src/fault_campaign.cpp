@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "backends/kernels.hpp"
 #include "pml/ml/rng.hpp"
+#include "pml/obs/metrics.hpp"
+#include "pml/obs/trace.hpp"
 #include "pml/sim/backend.hpp"
+#include "pml/sim/batch_fault_sim.hpp"
 
 namespace pml::core {
 
@@ -43,6 +47,202 @@ std::vector<FaultSet> sample_fault_sets(const netlist::Module& module,
   return sets;
 }
 
+namespace {
+
+/// Epoch-stamped net marks: one pass over the netlist per cone, with no
+/// clearing in between.
+class NetMarks {
+ public:
+  explicit NetMarks(std::size_t num_nets) : stamp_(num_nets, 0) {}
+  void next() { ++epoch_; }
+  /// Mark `net` in the current epoch; false if it already was.
+  bool mark(netlist::NetId net) {
+    if (stamp_[net] == epoch_) return false;
+    stamp_[net] = epoch_;
+    return true;
+  }
+  [[nodiscard]] bool marked(netlist::NetId net) const {
+    return stamp_[net] == epoch_;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+};
+
+/// The comb cells (in levelized order) and DFFs whose outputs are marked.
+void collect_cells(const netlist::Module& module, const sim::Levelization& lv,
+                   const NetMarks& marks, std::vector<std::uint32_t>& comb,
+                   std::vector<std::uint32_t>& dffs) {
+  const auto& cells = module.cells();
+  for (const std::uint32_t c : lv.comb_order) {
+    if (marks.marked(cells[c].out)) comb.push_back(c);
+  }
+  for (const std::uint32_t c : lv.dffs) {
+    if (marks.marked(cells[c].out)) dffs.push_back(c);
+  }
+}
+
+/// Which batches a campaign simulates, on which cones, fed how.
+struct CampaignPlan {
+  /// Batches whose cone reaches `class`, in variant order.
+  std::vector<backends::FaultBatch> batches;
+  /// (begin, count) of the batches whose cone misses `class`.
+  std::vector<std::pair<std::size_t, std::size_t>> unobserved;
+  /// Nets the golden trace records (every batch's fed nets), ascending.
+  std::vector<netlist::NetId> traced;
+};
+
+/// Pack the variants into the fewest batches of at most `per_batch`,
+/// sized within one of each other, and find each batch's cone: its fault
+/// sites and their transitive fanout through comb cells and DFFs.
+/// Outside the cone every lane holds the fault-free value, so a batch
+/// whose cone misses `class` needs no simulation, and the others evaluate
+/// only their cone.  What a cone reads but does not drive is its
+/// boundary: the cell-driven nets outside it read by its comb cells or
+/// DFF D pins.  Each batch is fed its boundary, and any class bits outside
+/// its cone, from the golden trace.
+CampaignPlan plan_campaign(const netlist::Module& module,
+                           const sim::Levelization& lv,
+                           const std::vector<std::int32_t>& drivers,
+                           const netlist::Port& class_port,
+                           const std::vector<FaultSet>& fault_sets,
+                           std::size_t per_batch) {
+  const auto& cells = module.cells();
+  const std::size_t num_sets = fault_sets.size();
+  const std::size_t num_batches = (num_sets + per_batch - 1) / per_batch;
+  CampaignPlan plan;
+  NetMarks cone(module.num_nets());
+  std::vector<char> traced(module.num_nets(), 0);
+  std::vector<std::vector<netlist::NetId>> feeds;
+  std::vector<netlist::NetId> stack;
+  for (std::size_t b = 0, begin = 0; b < num_batches; ++b) {
+    const std::size_t count =
+        num_sets / num_batches + (b < num_sets % num_batches ? 1 : 0);
+    const std::size_t end = begin + count;
+    cone.next();
+    for (std::size_t v = begin; v < end; ++v) {
+      for (const StuckAtFault& f : fault_sets[v].faults) {
+        if (cone.mark(f.net)) stack.push_back(f.net);
+      }
+    }
+    while (!stack.empty()) {
+      const netlist::NetId net = stack.back();
+      stack.pop_back();
+      for (const std::uint32_t c : lv.fanout[net]) {
+        if (cone.mark(cells[c].out)) stack.push_back(cells[c].out);
+      }
+    }
+    if (std::none_of(class_port.nets.begin(), class_port.nets.end(),
+                     [&](netlist::NetId net) { return cone.marked(net); })) {
+      plan.unobserved.emplace_back(begin, count);
+      begin = end;
+      continue;
+    }
+    backends::FaultBatch& batch = plan.batches.emplace_back();
+    batch.begin = begin;
+    batch.count = count;
+    begin = end;
+    collect_cells(module, lv, cone, batch.comb, batch.dffs);
+    std::vector<netlist::NetId>& feed = feeds.emplace_back();
+    const auto feed_net = [&](netlist::NetId net) {
+      if (!cone.marked(net) && drivers[net] >= 0) feed.push_back(net);
+    };
+    for (const std::uint32_t c : batch.comb) {
+      for (int pin = 0; pin < netlist::cell_num_inputs(cells[c].type); ++pin) {
+        feed_net(cells[c].in[pin]);
+      }
+    }
+    for (const std::uint32_t c : batch.dffs) feed_net(cells[c].in[0]);
+    for (const netlist::NetId net : class_port.nets) feed_net(net);
+    std::sort(feed.begin(), feed.end());
+    feed.erase(std::unique(feed.begin(), feed.end()), feed.end());
+    for (const netlist::NetId net : feed) traced[net] = 1;
+  }
+
+  // Trace columns follow net order, so each batch's sorted feed maps to
+  // ascending columns: group them into (word, mask) pairs.
+  std::vector<std::uint32_t> column(module.num_nets(), 0);
+  for (netlist::NetId net = 0; net < module.num_nets(); ++net) {
+    if (traced[net] == 0) continue;
+    column[net] = static_cast<std::uint32_t>(plan.traced.size());
+    plan.traced.push_back(net);
+  }
+  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
+    auto& words = plan.batches[b].feed;
+    for (const netlist::NetId net : feeds[b]) {
+      const std::uint32_t col = column[net];
+      if (words.empty() || words.back().first != col / 64) {
+        words.emplace_back(col / 64, 0);
+      }
+      words.back().second |= std::uint64_t{1} << (col % 64);
+    }
+  }
+  return plan;
+}
+
+/// Replay the fault-free circuit once under the campaign protocol,
+/// recording trace.nets after every settle.  Evaluates only their fan-in
+/// closure, plus the class port's when `count_golden` — then the replay
+/// alone counts the golden misclassifications, which it returns.
+std::size_t record_golden_trace(const backends::FaultJob& job,
+                                const std::vector<std::int32_t>& drivers,
+                                bool count_golden,
+                                backends::GoldenTrace& trace) {
+  PML_OBS_SPAN("fault.golden");
+  const netlist::Module& module = *job.module;
+  const auto& cells = module.cells();
+  NetMarks closure(module.num_nets());
+  closure.next();
+  std::vector<netlist::NetId> stack;
+  const auto reach = [&](netlist::NetId net) {
+    if (drivers[net] >= 0 && closure.mark(net)) stack.push_back(net);
+  };
+  for (const netlist::NetId net : trace.nets) reach(net);
+  if (count_golden) {
+    for (const netlist::NetId net : job.class_port->nets) reach(net);
+  }
+  while (!stack.empty()) {
+    const netlist::Cell& c =
+        cells[static_cast<std::size_t>(drivers[stack.back()])];
+    stack.pop_back();
+    for (int pin = 0; pin < netlist::cell_num_inputs(c.type); ++pin) {
+      reach(c.in[pin]);
+    }
+  }
+  std::vector<std::uint32_t> comb, dffs;
+  collect_cells(module, *job.lv, closure, comb, dffs);
+
+  trace.words = (trace.nets.size() + 63) / 64;
+  trace.rows.assign((1 + job.num_samples * job.settles_per_sample) *
+                        trace.words,
+                    0);
+  sim::BatchFaultSimulator replay(module, job.lv);
+  replay.restrict_to(comb, dffs);
+  std::size_t golden = 0;
+  backends::run_campaign_protocol(
+      replay, job,
+      [&](std::size_t row) {
+        replay.propagate();
+        std::uint64_t* const words = trace.rows.data() + row * trace.words;
+        for (std::size_t col = 0; col < trace.nets.size(); ++col) {
+          words[col / 64] |= (replay.net_lanes(trace.nets[col]) & 1u)
+                             << (col % 64);
+        }
+      },
+      [&](std::size_t i) {
+        if (job.cancel != nullptr) job.cancel->check("fault.golden");
+        if (count_golden) {
+          golden += static_cast<int>(replay.port_unsigned(*job.class_port,
+                                                          0)) !=
+                    job.workload->expected_class[i];
+        }
+      });
+  return golden;
+}
+
+}  // namespace
+
 FaultCampaignResult run_fault_campaign(const netlist::Module& module,
                                        int cycles_per_inference,
                                        const CircuitWorkload& workload,
@@ -66,6 +266,17 @@ FaultCampaignResult run_fault_campaign(const netlist::Module& module,
   if (n == 0) {
     throw std::invalid_argument("run_fault_campaign: zero samples");
   }
+  for (const FaultSet& set : fault_sets) {
+    for (const StuckAtFault& f : set.faults) {
+      if (f.net >= module.num_nets()) {
+        throw std::out_of_range("run_fault_campaign: fault on a bad net");
+      }
+      if (f.net == netlist::kConst0 || f.net == netlist::kConst1) {
+        throw std::invalid_argument(
+            "run_fault_campaign: cannot force a constant net");
+      }
+    }
+  }
   const auto ports = feature_ports(module, num_features);
   const netlist::Port* class_port = module.find_output("class");
   if (class_port == nullptr) {
@@ -74,6 +285,10 @@ FaultCampaignResult run_fault_campaign(const netlist::Module& module,
   const std::shared_ptr<const sim::Levelization> lv =
       options.levelization != nullptr ? options.levelization
                                       : sim::levelize_shared(module);
+  // How many variants ride per pass (kLanes - 1) belongs to the selected
+  // SIMD backend; per-variant counts are independent of the packing.
+  const backends::Kernels& k =
+      backends::kernels_for(sim::resolve_backend(options.backend));
 
   backends::FaultJob job;
   job.module = &module;
@@ -86,16 +301,56 @@ FaultCampaignResult run_fault_campaign(const netlist::Module& module,
   job.class_port = class_port;
   job.fault_sets = &fault_sets;
   job.num_samples = n;
+  job.settles_per_sample =
+      !job.sequential ? 1
+      : cycles_per_inference > 0
+          ? static_cast<std::size_t>(cycles_per_inference) + 1
+          : 0;
   job.num_threads = options.num_threads;
+
+  const std::vector<std::int32_t> drivers = module.driver_map();
+  CampaignPlan plan =
+      plan_campaign(module, *lv, drivers, *class_port, fault_sets, k.lanes - 1);
+  PML_OBS_COUNT("fault.batches",
+                plan.batches.size() + plan.unobserved.size());
+  PML_OBS_COUNT("fault.batches_unobserved", plan.unobserved.size());
+  PML_OBS_COUNT("fault.variants", fault_sets.size());
+
+  backends::GoldenTrace trace;
+  trace.nets = std::move(plan.traced);
+  std::size_t golden =
+      record_golden_trace(job, drivers, plan.batches.empty(), trace);
 
   FaultCampaignResult result;
   result.variants.assign(fault_sets.size(), FaultVariantResult{0, n});
   result.golden.samples = n;
-  // How many variants ride per pass (kLanes - 1) belongs to the selected
-  // SIMD backend; per-variant counts are independent of the packing.
-  const backends::Kernels& k =
-      backends::kernels_for(sim::resolve_backend(options.backend));
-  k.fault(job, result);
+  if (!plan.batches.empty()) {
+    // Longest cone first, so the last batches claimed are the short ones.
+    std::sort(plan.batches.begin(), plan.batches.end(),
+              [](const backends::FaultBatch& a, const backends::FaultBatch& b) {
+                return a.comb.size() != b.comb.size()
+                           ? a.comb.size() > b.comb.size()
+                           : a.begin < b.begin;
+              });
+    std::vector<std::size_t> golden_counts(plan.batches.size(), 0);
+    job.batches = &plan.batches;
+    job.trace = &trace;
+    job.golden_counts = golden_counts.data();
+    k.fault(job, result);
+    // Lane 0 of every simulated batch is the same fault-free run.
+    golden = golden_counts[0];
+    if (std::any_of(golden_counts.begin(), golden_counts.end(),
+                    [&](std::size_t g) { return g != golden; })) {
+      throw std::logic_error(
+          "run_fault_campaign: golden lanes disagree between batches");
+    }
+  }
+  result.golden.misclassified = golden;
+  for (const auto& [begin, count] : plan.unobserved) {
+    for (std::size_t v = begin; v < begin + count; ++v) {
+      result.variants[v].misclassified = golden;
+    }
+  }
   return result;
 }
 

@@ -3,31 +3,43 @@
 //
 // The dual of BatchSimulator: instead of kLanes samples through one
 // unperturbed design, the lanes of the word per net are kLanes stuck-at
-// fault variants of the SAME circuit evaluated on the SAME input.  Per-net
-// `force0`/`force1` lane-mask words are applied after each SWAR cell eval
-// (two extra bit-ops per cell, branch-free), so variant L sees net n stuck
-// at 0/1 exactly where bit L of the masks is set.  Functional results are
-// bit-identical, lane by lane, to a scalar CycleSimulator with the same
-// faults installed via force_net — the equivalence suites in
-// tests/test_sim_fault_batch.cpp (u64) and tests/test_sim_backend.cpp
-// (wide backends vs u64) prove it on generated sequential-SVM,
-// parallel-SVM, and random netlists.
+// fault variants of the SAME circuit evaluated on the SAME input.  Each
+// forced net carries a stuck-at-0 and a stuck-at-1 lane mask, applied
+// after its driver's SWAR eval (cell outputs) or at the start of every
+// sweep (PIs, DFF Qs), so variant L sees net n stuck at 0/1 exactly where
+// bit L of the masks is set.  The sweep evaluates unforced cells with no
+// mask work at all: it runs plain between the (few) forced ops.
+// Functional results are bit-identical, lane by lane, to a scalar
+// CycleSimulator with the same faults installed via force_net — the
+// equivalence suites in tests/test_sim_fault_batch.cpp (u64) and
+// tests/test_sim_backend.cpp (wide backends vs u64) prove it on generated
+// sequential-SVM, parallel-SVM, and random netlists.
+//
+// Cone restriction.  restrict_to() narrows evaluation to a subset of the
+// cells — in a fault campaign, the fanout cone of a batch's fault sites,
+// outside which every lane holds the fault-free value.  Nets the subset
+// reads but does not drive become the caller's to drive (set_net), e.g.
+// from a recorded fault-free trace.  A freshly bound simulator evaluates
+// the whole circuit: that is the special case where the cone is
+// everything and there is nothing for the caller to drive.
 //
 // Lane 0 is reserved fault-free (set_fault rejects it): every batch of a
 // campaign carries the golden reference for free, and the lane-0 outputs
 // are guaranteed to equal an unfaulted run by construction.
 //
-// This is the engine behind core::run_fault_campaign, which packs
-// kLanes - 1 fault sets per batch (63 scalar, 255 AVX2, 511 AVX-512) and
-// shards batches across threads; the scalar CycleSimulator::force_net
-// path remains the oracle.  `BatchFaultSimulator` is the 64-lane scalar
-// instantiation; wide instantiations are created only in the per-flag TUs
-// under src/core/src/backends/.
+// This is the engine behind core::run_fault_campaign (variant batches on
+// their cones, and the single-lane golden replay that feeds them); the
+// scalar CycleSimulator::force_net path remains the oracle.
+// `BatchFaultSimulator` is the 64-lane scalar instantiation; wide
+// instantiations are created only in the per-flag TUs under
+// src/core/src/backends/.
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pml/netlist/module.hpp"
@@ -63,7 +75,8 @@ class BatchFaultSimulatorT {
   /// (Re)bind to a module, reusing all internal vector capacities: a
   /// pooled simulator rebound to same-shaped modules performs zero heap
   /// allocation.  The module and levelization are borrowed and must
-  /// outlive the binding; installed faults and counters are cleared.
+  /// outlive the binding; installed faults and counters are cleared and
+  /// the whole circuit is evaluated.
   void rebind(const netlist::Module& module,
               std::shared_ptr<const Levelization> lv) {
     if (lv == nullptr) {
@@ -74,20 +87,44 @@ class BatchFaultSimulatorT {
     swar_comb_ops_into(ops_, *module_, *lv_);
     swar_dff_ops_into(dffs_, *module_, *lv_);
     values_.assign(module_->num_nets() * kChunks, 0);
-    force0_.assign(module_->num_nets() * kChunks, 0);
-    force1_.assign(module_->num_nets() * kChunks, 0);
     dff_state_.assign(dffs_.size() * kChunks, 0);
-    forced_nets_.clear();
+    force_slot_.assign(module_->num_nets(), kNoForce);
+    forces_.clear();
+    force_masks_.clear();
+    forced_ops_.clear();
     num_faults_ = 0;
+    plan_dirty_ = false;
     inputs_dirty_ = false;
     reset();
   }
   [[nodiscard]] bool bound() const noexcept { return module_ != nullptr; }
 
-  /// Restore all DFFs (every lane) to their power-on values, zero all
-  /// nets, and settle *with the installed faults applied* — the batch
-  /// equivalent of CycleSimulator::reset after force_net.
-  void reset() {
+  /// Evaluate only `comb_cells` (cell indices, in Levelization::comb_order
+  /// order) and clock only `dff_cells` from now on.  Every other net keeps
+  /// whatever it holds: nets the subset reads but does not drive are the
+  /// caller's to drive with set_net before each propagate().  Installed
+  /// faults are kept; their nets must be PIs or driven by the subset.
+  /// rebind() returns to the whole circuit.
+  void restrict_to(std::span<const std::uint32_t> comb_cells,
+                   std::span<const std::uint32_t> dff_cells) {
+    const auto& cells = module_->cells();
+    ops_.clear();
+    for (const std::uint32_t c : comb_cells) {
+      ops_.push_back(flatten_cell(cells[c]));
+    }
+    dffs_.clear();
+    for (const std::uint32_t c : dff_cells) {
+      dffs_.push_back(flatten_dff(cells[c]));
+    }
+    dff_state_.assign(dffs_.size() * kChunks, 0);
+    plan_dirty_ = true;
+    inputs_dirty_ = true;
+  }
+
+  /// Restore the evaluated DFFs (every lane) to their power-on values and
+  /// zero all nets, without settling.  Drive any boundary nets, then
+  /// propagate(): together that is reset().
+  void power_on() {
     std::fill(values_.begin(), values_.end(), 0);
     for (std::size_t c = 0; c < kChunks; ++c) {
       values_[netlist::kConst1 * kChunks + c] = ~std::uint64_t{0};
@@ -99,10 +136,16 @@ class BatchFaultSimulatorT {
         values_[dffs_[i].q * kChunks + c] = dffs_[i].init;
       }
     }
-    // Settle with the installed faults applied, so reads at time zero match
-    // a scalar CycleSimulator reset taken after force_net.
-    propagate();
     cycles_ = 0;
+    inputs_dirty_ = true;
+  }
+
+  /// Restore all DFFs (every lane) to their power-on values, zero all
+  /// nets, and settle *with the installed faults applied* — the batch
+  /// equivalent of CycleSimulator::reset after force_net.
+  void reset() {
+    power_on();
+    propagate();
   }
 
   // --- fault control --------------------------------------------------------
@@ -113,7 +156,7 @@ class BatchFaultSimulatorT {
   /// reset()/propagate()/step().  Throws on lane 0, out-of-range
   /// nets/lanes, and the constant nets.
   void set_fault(netlist::NetId net, std::size_t lane, bool stuck_value) {
-    if (net * kChunks >= values_.size()) {
+    if (net >= force_slot_.size()) {
       throw std::out_of_range("set_fault: bad net");
     }
     if (lane == 0) {
@@ -124,18 +167,18 @@ class BatchFaultSimulatorT {
     if (net == netlist::kConst0 || net == netlist::kConst1) {
       throw std::invalid_argument("set_fault: cannot force a constant net");
     }
-    std::uint64_t* const f0 = force0_.data() + net * kChunks;
-    std::uint64_t* const f1 = force1_.data() + net * kChunks;
+    std::uint32_t& slot = force_slot_[net];
+    if (slot == kNoForce) {
+      slot = static_cast<std::uint32_t>(forces_.size());
+      forces_.push_back(Force{net, kNoOp});
+      force_masks_.resize(force_masks_.size() + 2 * kChunks, 0);
+      plan_dirty_ = true;
+    }
+    std::uint64_t* const f0 = force0(slot);
+    std::uint64_t* const f1 = force1(slot);
     const std::size_t c = lane_chunk(lane);
     const std::uint64_t bit = lane_bit(lane);
-    if (((f0[c] | f1[c]) & bit) == 0) {
-      bool any = false;
-      for (std::size_t i = 0; i < kChunks; ++i) {
-        any = any || f0[i] != 0 || f1[i] != 0;
-      }
-      if (!any) forced_nets_.push_back(net);
-      ++num_faults_;
-    }
+    if (((f0[c] | f1[c]) & bit) == 0) ++num_faults_;
     if (stuck_value) {
       f1[c] |= bit;
       f0[c] &= ~bit;
@@ -147,12 +190,12 @@ class BatchFaultSimulatorT {
   }
   /// Remove every fault from every lane.
   void clear_faults() {
-    for (const netlist::NetId n : forced_nets_) {
-      std::fill_n(force0_.begin() + n * kChunks, kChunks, 0);
-      std::fill_n(force1_.begin() + n * kChunks, kChunks, 0);
-    }
-    forced_nets_.clear();
+    for (const Force& f : forces_) force_slot_[f.net] = kNoForce;
+    forces_.clear();
+    force_masks_.clear();
+    forced_ops_.clear();
     num_faults_ = 0;
+    plan_dirty_ = false;
     inputs_dirty_ = true;
   }
   /// Total installed (net, lane) stuck-at entries.
@@ -161,22 +204,26 @@ class BatchFaultSimulatorT {
   /// = lane L; historical 64-lane API — use the _chunk forms for wider
   /// backends).
   [[nodiscard]] std::uint64_t fault0_mask(netlist::NetId net) const {
-    return force0_[net * kChunks];
+    return fault0_chunk(net, 0);
   }
   [[nodiscard]] std::uint64_t fault1_mask(netlist::NetId net) const {
-    return force1_[net * kChunks];
+    return fault1_chunk(net, 0);
   }
   [[nodiscard]] std::uint64_t fault0_chunk(netlist::NetId net,
                                            std::size_t c) const {
-    return force0_[net * kChunks + c];
+    const std::uint32_t slot = force_slot_[net];
+    return slot == kNoForce ? 0 : force_masks_[slot * 2 * kChunks + c];
   }
   [[nodiscard]] std::uint64_t fault1_chunk(netlist::NetId net,
                                            std::size_t c) const {
-    return force1_[net * kChunks + c];
+    const std::uint32_t slot = force_slot_[net];
+    return slot == kNoForce ? 0
+                            : force_masks_[slot * 2 * kChunks + kChunks + c];
   }
 
   // --- stimulus (broadcast: every variant sees the same input) --------------
-  /// Drive a primary-input net to `value` in all lanes.
+  /// Drive a source net — a primary input, or a net outside the evaluated
+  /// cone — to `value` in all lanes.
   void set_net(netlist::NetId net, bool value) {
     if (net * kChunks >= values_.size()) {
       throw std::out_of_range("set_net: bad net");
@@ -202,34 +249,30 @@ class BatchFaultSimulatorT {
   /// Propagate combinational logic for all lanes (no clock edge), faults
   /// applied.
   void propagate() {
+    if (plan_dirty_) plan_forces();
     // Source nets (PIs, DFF Qs) keep their forced lanes across the sweep;
-    // cell outputs are re-forced inline after every eval, exactly
+    // forced cell outputs are re-forced right after their eval, exactly
     // mirroring the scalar CycleSimulator force order.
-    apply_faults_to_sources();
     std::uint64_t* const v = values_.data();
-    const std::uint64_t* const f0 = force0_.data();
-    const std::uint64_t* const f1 = force1_.data();
-    for (const SwarOp& op : ops_) {
-      const auto out = eval_cell_lanes_w<L>(op.type, L::load(v + op.a * kChunks),
-                                            L::load(v + op.b * kChunks),
-                                            L::load(v + op.s * kChunks));
-      // Branch-free stuck-at overlay: identity when both masks are zero.
-      L::store(v + op.out * kChunks,
-               L::bor(L::andnot(out, L::load(f0 + op.out * kChunks)),
-                      L::load(f1 + op.out * kChunks)));
+    for (std::size_t slot = 0; slot < forces_.size(); ++slot) {
+      if (forces_[slot].op == kNoOp) apply_force(slot, v);
     }
+    std::size_t begin = 0;
+    for (const auto& [op, slot] : forced_ops_) {
+      eval_ops(begin, op + 1);
+      apply_force(slot, v);
+      begin = op + 1;
+    }
+    eval_ops(begin, ops_.size());
     inputs_dirty_ = false;
     PML_OBS_COUNT("sim.batch_fault.lane_words", ops_.size());
   }
-  /// Clock every DFF (capture D into Q, all lanes) and re-settle.  As in
-  /// BatchSimulator, the pre-clock sweep is skipped when nothing changed
-  /// since the last propagate — faults are part of the fixpoint, so the
-  /// skip stays an observably-identical no-op.
-  void step() {
-    if (inputs_dirty_) propagate();
+  /// Clock every evaluated DFF: capture D into Q, all lanes, without
+  /// re-settling.  Forced Q lanes are re-asserted by the next propagate
+  /// before anything reads them.
+  void clock() {
     // Two-phase clocking (sample all Ds, then update all Qs) so DFF chains
-    // shift correctly regardless of cell order.  Forced Q lanes are
-    // re-asserted by the trailing propagate before anything reads them.
+    // shift correctly regardless of cell order.
     std::uint64_t* const v = values_.data();
     for (std::size_t i = 0; i < dffs_.size(); ++i) {
       L::store(dff_state_.data() + i * kChunks,
@@ -240,6 +283,14 @@ class BatchFaultSimulatorT {
                L::load(dff_state_.data() + i * kChunks));
     }
     ++cycles_;
+    inputs_dirty_ = true;
+  }
+  /// Clock and re-settle.  As in BatchSimulator, the pre-clock sweep is
+  /// skipped when nothing changed since the last propagate — faults are
+  /// part of the fixpoint, so the skip stays an observably-identical no-op.
+  void step() {
+    if (inputs_dirty_) propagate();
+    clock();
     propagate();
   }
 
@@ -282,6 +333,23 @@ class BatchFaultSimulatorT {
   [[nodiscard]] const Levelization& levelization() const { return *lv_; }
 
  private:
+  static constexpr std::uint32_t kNoForce = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
+
+  /// One forced net; `op` is its driver's position in ops_, or kNoOp for a
+  /// source net (PI, DFF Q), which is forced at the start of each sweep.
+  struct Force {
+    netlist::NetId net;
+    std::uint32_t op;
+  };
+
+  [[nodiscard]] std::uint64_t* force0(std::size_t slot) {
+    return force_masks_.data() + slot * 2 * kChunks;
+  }
+  [[nodiscard]] std::uint64_t* force1(std::size_t slot) {
+    return force0(slot) + kChunks;
+  }
+
   [[nodiscard]] const netlist::Port& find_port(const std::string& name) const {
     const netlist::Port* port = module_->find_output(name);
     if (port == nullptr) port = module_->find_input(name);
@@ -289,29 +357,54 @@ class BatchFaultSimulatorT {
     return *port;
   }
 
-  /// Re-assert faults on source nets (PIs, DFF Qs) that are not rewritten
-  /// by the cell loop; cell outputs are masked inline after each eval.
-  void apply_faults_to_sources() {
+  /// Locate each forced net's driver in ops_, and list the forced ops in
+  /// sweep order.  Runs once per change of faults or cone.
+  void plan_forces() {
+    forced_ops_.clear();
+    for (Force& f : forces_) f.op = kNoOp;
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const std::uint32_t slot = force_slot_[ops_[i].out];
+      if (slot == kNoForce) continue;
+      forces_[slot].op = static_cast<std::uint32_t>(i);
+      forced_ops_.emplace_back(static_cast<std::uint32_t>(i), slot);
+    }
+    plan_dirty_ = false;
+  }
+
+  void apply_force(std::size_t slot, std::uint64_t* v) {
+    std::uint64_t* const w = v + forces_[slot].net * kChunks;
+    L::store(w, L::bor(L::andnot(L::load(w), L::load(force0(slot))),
+                       L::load(force1(slot))));
+  }
+
+  /// Plain SWAR sweep over ops_[begin, end).
+  void eval_ops(std::size_t begin, std::size_t end) {
     std::uint64_t* const v = values_.data();
-    for (const netlist::NetId n : forced_nets_) {
-      L::store(v + n * kChunks,
-               L::bor(L::andnot(L::load(v + n * kChunks),
-                                L::load(force0_.data() + n * kChunks)),
-                      L::load(force1_.data() + n * kChunks)));
+    for (std::size_t i = begin; i < end; ++i) {
+      const SwarOp& op = ops_[i];
+      L::store(v + op.out * kChunks,
+               eval_cell_lanes_w<L>(op.type, L::load(v + op.a * kChunks),
+                                    L::load(v + op.b * kChunks),
+                                    L::load(v + op.s * kChunks)));
     }
   }
 
   const netlist::Module* module_ = nullptr;
   std::shared_ptr<const Levelization> lv_;
-  std::vector<SwarOp> ops_;  ///< levelized cells, pins flattened
-  std::vector<SwarDffOp> dffs_;
+  std::vector<SwarOp> ops_;  ///< evaluated cells, levelized, pins flattened
+  std::vector<SwarDffOp> dffs_;           ///< clocked DFFs
   std::vector<std::uint64_t> values_;     ///< kChunks words per net
   std::vector<std::uint64_t> dff_state_;  ///< captured D, per DFF
-  std::vector<std::uint64_t> force0_;     ///< stuck-at-0 lane mask per net
-  std::vector<std::uint64_t> force1_;     ///< stuck-at-1 lane mask per net
-  std::vector<netlist::NetId> forced_nets_;  ///< nets with any mask bit set
+  std::vector<std::uint32_t> force_slot_;  ///< per net: forces_ index
+  std::vector<Force> forces_;              ///< one per forced net
+  /// Per force: kChunks stuck-at-0 mask words, then kChunks stuck-at-1.
+  std::vector<std::uint64_t> force_masks_;
+  /// (position in ops_, forces_ index) of every forced cell output,
+  /// ascending in position.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> forced_ops_;
   std::size_t num_faults_ = 0;
   std::uint64_t cycles_ = 0;
+  bool plan_dirty_ = false;    ///< faults or cone changed since plan_forces
   bool inputs_dirty_ = false;  ///< true if stimulus/faults changed
 };
 

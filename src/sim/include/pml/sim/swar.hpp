@@ -115,15 +115,17 @@ inline void swar_comb_ops_into(std::vector<SwarOp>& ops,
   return ops;
 }
 
+[[nodiscard]] inline SwarDffOp flatten_dff(const netlist::Cell& c) {
+  return SwarDffOp{c.in[0], c.out, c.dff_init ? ~std::uint64_t{0} : 0};
+}
+
 inline void swar_dff_ops_into(std::vector<SwarDffOp>& dffs,
                               const netlist::Module& module,
                               const Levelization& lv) {
   dffs.clear();
   dffs.reserve(lv.dffs.size());
   for (const std::uint32_t idx : lv.dffs) {
-    const netlist::Cell& c = module.cells()[idx];
-    dffs.push_back(SwarDffOp{c.in[0], c.out,
-                             c.dff_init ? ~std::uint64_t{0} : 0});
+    dffs.push_back(flatten_dff(module.cells()[idx]));
   }
 }
 

@@ -4,7 +4,10 @@
 // lane-0 invariant; and the core::run_fault_campaign driver — ragged
 // (<63 variant) batches, exact agreement with a per-variant scalar replay,
 // thread-count invariance, the accuracy-vs-fault-count curve helper, and
-// the deterministic fault-set generators.
+// the deterministic fault-set generators; and the edges of cone-restricted
+// batches (primary-input faults, a faulted DFF fed from outside its cone,
+// batches that cannot reach `class`, repeated and empty fault sets, and
+// multi-batch invariance across backends and thread counts).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,8 @@
 #include "pml/arch/parallel_svm.hpp"
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/fault_campaign.hpp"
+#include "pml/obs/metrics.hpp"
+#include "pml/sim/backend.hpp"
 #include "pml/sim/batch_fault_sim.hpp"
 #include "pml/sim/cycle_sim.hpp"
 
@@ -523,6 +528,235 @@ TEST(FaultCampaign, AccuracyVsFaultCountCurve) {
   lopsided.variants.resize(1);
   EXPECT_THROW((void)accuracy_vs_fault_count(sets, lopsided),
                std::invalid_argument);
+}
+
+// --- cone-restricted campaigns vs the scalar oracle -------------------------
+//
+// Each batch simulates only the fanout cone of its faults, fed the rest
+// from one golden replay; these cases pin down the edges of that split.
+
+/// Expect every variant (and the golden count) to equal the scalar oracle.
+void expect_matches_oracle(const netlist::Module& module, int cycles,
+                           const CircuitWorkload& wl, std::size_t n,
+                           const std::vector<FaultSet>& sets,
+                           const FaultCampaignOptions& base = {}) {
+  FaultCampaignOptions opts = base;
+  opts.max_samples = n;
+  const auto result = run_fault_campaign(module, cycles, wl, sets, opts);
+  std::vector<FaultSet> with_golden = sets;
+  with_golden.emplace_back();  // the fault-free oracle run
+  const bool sequential = !sim::levelize(module).dffs.empty();
+  const auto oracle =
+      scalar_campaign(module, cycles, sequential, wl, n, with_golden);
+  ASSERT_EQ(result.variants.size(), sets.size());
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(result.variants[i].misclassified, oracle[i])
+        << "variant " << i << " diverges from the scalar oracle";
+  }
+  EXPECT_EQ(result.golden.misclassified, oracle.back());
+}
+
+/// A small sequential module whose two class bits read one DFF each, plus
+/// a side output the class port cannot see:
+///   q = DFF(AND(x0[0], x0[1]));  q2 = DFF(OR(x0[0], x0[1]), init 1)
+///   class = {XOR(q, x0[1]), AND(q2, x0[0])};  aux = INV(NAND(x0[0], x0[1]))
+/// A fault on q reaches class bit 0 only, and q's D input is read by no
+/// cell of that cone: the batch must take it, and class bit 1, from the
+/// golden trace.
+struct SideModule {
+  netlist::Module m{"side"};
+  netlist::NetId d, q, q2, nand, aux;
+  SideModule() {
+    const auto x = m.add_input_port("x0", 2);
+    d = m.add_gate_raw(netlist::CellType::kAnd2, x[0], x[1]);
+    q = m.dff(d);
+    q2 = m.dff(m.add_gate_raw(netlist::CellType::kOr2, x[0], x[1]), true);
+    const netlist::NetId c0 = m.add_gate_raw(netlist::CellType::kXor2, q, x[1]);
+    const netlist::NetId c1 = m.add_gate_raw(netlist::CellType::kAnd2, q2, x[0]);
+    m.add_output_port("class", {c0, c1});
+    nand = m.add_gate_raw(netlist::CellType::kNand2, x[0], x[1]);
+    aux = m.add_gate_raw(netlist::CellType::kInv, nand);
+    m.add_output_port("aux", {aux});
+  }
+};
+
+/// 24 samples over every x0 value.  The expected classes are the
+/// fault-free circuit's, except every fifth, so the golden count is small
+/// but nonzero and a wrong class value anywhere moves a count.
+CircuitWorkload side_workload(const SideModule& side) {
+  sim::CycleSimulator golden(side.m);
+  golden.reset();
+  CircuitWorkload wl;
+  std::uint64_t s = 12345;
+  for (int i = 0; i < 24; ++i) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    const auto x = static_cast<std::int64_t>((s >> 33) % 4);
+    golden.set_port("x0", static_cast<std::uint64_t>(x));
+    golden.step();
+    const auto cls = static_cast<int>(golden.port_unsigned("class"));
+    wl.feature_codes.push_back({x});
+    wl.expected_class.push_back(i % 5 == 0 ? (cls + 1) % 4 : cls);
+  }
+  return wl;
+}
+
+TEST(FaultCampaign, PrimaryInputFaultsMatchOracle) {
+  const auto q = small_model();
+  auto circuit = arch::build_sequential_svm(q);
+  const auto wl = exhaustive_workload(q);
+  const netlist::Port* x0 = circuit.module.find_input("x0");
+  const netlist::Port* x1 = circuit.module.find_input("x1");
+  ASSERT_NE(x0, nullptr);
+  ASSERT_NE(x1, nullptr);
+  std::vector<FaultSet> sets;
+  for (const netlist::NetId net : x0->nets) {
+    sets.push_back(FaultSet{{StuckAtFault{net, false}}});
+    sets.push_back(FaultSet{{StuckAtFault{net, true}}});
+  }
+  sets.push_back(FaultSet{{StuckAtFault{x0->nets[0], true},
+                           StuckAtFault{x1->nets[1], false}}});
+  expect_matches_oracle(circuit.module, circuit.cycles_per_inference, wl, 24,
+                        sets);
+}
+
+TEST(FaultCampaign, FaultedDffWithDriverOutsideConeMatchesOracle) {
+  // One campaign per group, so each group's batch has its own cone.
+  const SideModule side;
+  const auto wl = side_workload(side);
+  const std::vector<std::vector<FaultSet>> groups = {
+      {FaultSet{{StuckAtFault{side.q, false}}},
+       FaultSet{{StuckAtFault{side.q, true}}}},
+      {FaultSet{{StuckAtFault{side.q2, false}}},
+       FaultSet{{StuckAtFault{side.q2, true}, StuckAtFault{side.nand, true}}}},
+      {FaultSet{{StuckAtFault{side.d, true}}},
+       FaultSet{{StuckAtFault{side.q, true}, StuckAtFault{side.q2, false}}}},
+  };
+  for (const auto& sets : groups) {
+    expect_matches_oracle(side.m, 1, wl, wl.feature_codes.size(), sets);
+  }
+}
+
+TEST(FaultCampaign, UnobservableBatchesTakeTheGoldenCount) {
+  // u64 packs these 100 sets into two batches of 50: the first faults only
+  // the side output, whose cone misses `class`, so it is not simulated.
+  const SideModule side;
+  const auto wl = side_workload(side);
+  std::vector<FaultSet> sets;
+  for (int i = 0; i < 50; ++i) {
+    sets.push_back(FaultSet{{StuckAtFault{i % 2 == 0 ? side.aux : side.nand,
+                                          i % 3 == 0}}});
+  }
+  for (int i = 0; i < 50; ++i) {
+    sets.push_back(FaultSet{{StuckAtFault{i % 2 == 0 ? side.q : side.nand,
+                                          i % 3 == 0}}});
+  }
+  FaultCampaignOptions opts;
+  opts.backend = sim::Backend::kU64;
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  expect_matches_oracle(side.m, 1, wl, wl.feature_codes.size(), sets, opts);
+  const obs::MetricsSnapshot delta =
+      obs::diff_metrics(before, obs::snapshot_metrics());
+  EXPECT_EQ(delta.counter_value("fault.batches"), 2u);
+  EXPECT_EQ(delta.counter_value("fault.batches_unobserved"), 1u);
+  EXPECT_EQ(delta.counter_value("fault.lanes_active"), 51u);
+
+  const auto result = run_fault_campaign(side.m, 1, wl, sets, opts);
+  ASSERT_GT(result.golden.misclassified, 0u) << "workload too easy";
+  for (std::size_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(result.variants[i].misclassified, result.golden.misclassified);
+  }
+}
+
+TEST(FaultCampaign, AllBatchesUnobservableTakeGoldenFromReplay) {
+  const SideModule side;
+  const auto wl = side_workload(side);
+  const std::vector<FaultSet> sets = {
+      FaultSet{{StuckAtFault{side.aux, true}}},
+      FaultSet{{StuckAtFault{side.nand, false}}},
+      FaultSet{{StuckAtFault{side.aux, false}, StuckAtFault{side.nand, true}}},
+  };
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  expect_matches_oracle(side.m, 1, wl, wl.feature_codes.size(), sets);
+  const obs::MetricsSnapshot delta =
+      obs::diff_metrics(before, obs::snapshot_metrics());
+  EXPECT_EQ(delta.counter_value("fault.batches_unobserved"), 1u);
+  EXPECT_EQ(delta.counter_value("fault.lanes_active"), 0u);
+
+  const auto result = run_fault_campaign(side.m, 1, wl, sets);
+  EXPECT_GT(result.golden.misclassified, 0u);
+  for (const FaultVariantResult& v : result.variants) {
+    EXPECT_EQ(v.misclassified, result.golden.misclassified);
+  }
+}
+
+TEST(FaultCampaign, CombinationalParallelSvmSingleFaultsMatchOracle) {
+  const auto q = small_model();
+  auto circuit = arch::build_parallel_svm(q);
+  const auto wl = exhaustive_workload(q);
+  expect_matches_oracle(circuit.module, 0, wl, 16,
+                        enumerate_single_faults(circuit.module));
+}
+
+TEST(FaultCampaign, RepeatedNetLastPolarityWinsAndEmptySetIsGolden) {
+  const auto q = small_model();
+  auto circuit = arch::build_sequential_svm(q);
+  const auto wl = exhaustive_workload(q);
+  const auto& cells = circuit.module.cells();
+  const netlist::NetId a = cells[cells.size() / 2].out;
+  const netlist::NetId b = cells[cells.size() / 3].out;
+  const std::vector<FaultSet> sets = {
+      FaultSet{{StuckAtFault{a, false}, StuckAtFault{a, true}}},
+      FaultSet{{StuckAtFault{a, true}, StuckAtFault{b, true},
+                StuckAtFault{a, false}}},
+      FaultSet{},
+      FaultSet{{StuckAtFault{a, true}}},
+  };
+  expect_matches_oracle(circuit.module, circuit.cycles_per_inference, wl, 24,
+                        sets);
+  const auto result =
+      run_fault_campaign(circuit.module, circuit.cycles_per_inference, wl,
+                         sets);
+  EXPECT_EQ(result.variants[0].misclassified, result.variants[3].misclassified);
+  EXPECT_EQ(result.variants[2].misclassified, result.golden.misclassified);
+}
+
+TEST(FaultCampaign, MultiBatchSingleFaultsInvariantAcrossBackendsAndThreads) {
+  const QuantizedSvm q = sim::random_svm(4, 4, 4, 5, 3);
+  auto circuit = arch::build_sequential_svm(q);
+  const auto samples =
+      sim::svm_samples(12, 4, q.input_format.max_code(), 21);
+  CircuitWorkload wl;
+  for (const auto& row : samples) {
+    std::vector<std::int64_t> codes(row.begin(), row.end());
+    wl.expected_class.push_back(q.predict_codes(codes));
+    wl.feature_codes.push_back(std::move(codes));
+  }
+  const auto sets = enumerate_single_faults(circuit.module);
+  // At least two batches even at 511 variants per AVX-512 pass.
+  ASSERT_GT(sets.size(), 511u);
+  FaultCampaignOptions ref_opts;
+  ref_opts.backend = sim::Backend::kU64;
+  ref_opts.num_threads = 1;
+  expect_matches_oracle(circuit.module, circuit.cycles_per_inference, wl,
+                        wl.feature_codes.size(), sets, ref_opts);
+  const auto ref = run_fault_campaign(
+      circuit.module, circuit.cycles_per_inference, wl, sets, ref_opts);
+  for (const sim::Backend b : sim::available_backends()) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      FaultCampaignOptions opts;
+      opts.backend = b;
+      opts.num_threads = threads;
+      const auto got = run_fault_campaign(
+          circuit.module, circuit.cycles_per_inference, wl, sets, opts);
+      EXPECT_EQ(got.golden.misclassified, ref.golden.misclassified);
+      ASSERT_EQ(got.variants.size(), ref.variants.size());
+      for (std::size_t i = 0; i < ref.variants.size(); ++i) {
+        ASSERT_EQ(got.variants[i].misclassified,
+                  ref.variants[i].misclassified)
+            << sim::backend_name(b) << " x" << threads << " variant " << i;
+      }
+    }
+  }
 }
 
 TEST(FaultCampaign, RejectsMalformedInputs) {
