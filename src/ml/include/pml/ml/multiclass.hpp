@@ -8,6 +8,15 @@
 //   OvR: argmax of decision values, first maximum on ties.
 //   OvO: majority vote; classifier (i,j) votes i iff decision > 0;
 //        vote ties resolve to the lowest class index.
+//
+// Training fans the independent binary fits out on the shared
+// util::TaskPool: one slot per class (OvR), per pair (OvO) and per tuning
+// candidate (train_tuned, which nests the other two).  Each fit keeps its
+// documented seed and writes only its own slot, and train_tuned scans the
+// candidates' accuracies in grid order, so every model is bit-identical
+// to a serial run at any pool width.  Inputs are validated on the calling
+// thread first: a bad dataset throws std::invalid_argument before any
+// fit starts.
 
 #include <cstdint>
 #include <utility>
@@ -45,9 +54,13 @@ struct MulticlassTrainOptions {
   bool class_balanced = false;
 };
 
+/// One binary fit per class k, with seed `options.base.seed + k * 7919`.
 [[nodiscard]] MulticlassSvm train_one_vs_rest(
     const Dataset& train, const MulticlassTrainOptions& options);
 
+/// One binary fit per pair (i, j), i < j, in row-major pair order, on the
+/// samples of classes i and j, with seed
+/// `options.base.seed + (i * 131 + j) * 7919`.
 [[nodiscard]] MulticlassSvm train_one_vs_one(
     const Dataset& train, const MulticlassTrainOptions& options);
 
@@ -62,9 +75,10 @@ void calibrate_ovr_biases(MulticlassSvm& model, const Dataset& validation,
 
 /// Tune hyperparameters on a held-out fraction of `train` (grid search over
 /// C and, when `search_balanced`, over class-balanced vs plain costs), then
-/// retrain on all of `train` with the winner.  This is the hyperparameter
-/// care the paper's flow applies to *its* SVMs; the baselines train with
-/// fixed defaults.
+/// retrain on all of `train` with the winner: the first candidate of
+/// maximal validation accuracy in (plain, then balanced) x `c_grid` order.
+/// This is the hyperparameter care the paper's flow applies to *its* SVMs;
+/// the baselines train with fixed defaults.
 [[nodiscard]] MulticlassSvm train_tuned(
     const Dataset& train, MulticlassStrategy strategy,
     const std::vector<double>& c_grid, bool search_balanced,

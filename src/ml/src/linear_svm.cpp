@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "pml/ml/rng.hpp"
+#include "pml/obs/metrics.hpp"
 
 namespace pml::ml {
 
@@ -29,6 +30,12 @@ BinarySvm train_binary_svm(const std::vector<std::vector<double>>& X,
   }
   const std::size_t n = X.size();
   const std::size_t m = X[0].size();
+  for (const auto& row : X) {
+    if (row.size() != m) {
+      throw std::invalid_argument("train_binary_svm: rows differ in length");
+    }
+  }
+  PML_OBS_COUNT("ml.binary_fits", 1);
   const std::size_t ma = m + 1;  // augmented bias feature
 
   // Precompute Q_ii = ||x~_i||^2 and per-sample upper bounds.

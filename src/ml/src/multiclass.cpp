@@ -1,8 +1,11 @@
 #include "pml/ml/multiclass.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "pml/ml/metrics.hpp"
+#include "pml/obs/trace.hpp"
+#include "pml/util/task_pool.hpp"
 
 namespace pml::ml {
 
@@ -55,6 +58,25 @@ std::size_t MulticlassSvm::stored_coefficients() const {
 
 namespace {
 
+/// Reject, on the calling thread and before any fan-out, a training set
+/// the per-fit slots would read out of bounds or silently mislabel, so a
+/// bad dataset fails the same way at every pool width.  (Ragged rows are
+/// left to train_binary_svm, which rejects them identically in every
+/// slot.)
+void validate_training_set(const Dataset& train, const std::string& what) {
+  if (train.num_classes < 2) {
+    throw std::invalid_argument(what + ": need >= 2 classes");
+  }
+  if (train.y.size() != train.X.size()) {
+    throw std::invalid_argument(what + ": X and y sizes differ");
+  }
+  for (const int label : train.y) {
+    if (label < 0 || label >= train.num_classes) {
+      throw std::invalid_argument(what + ": label outside [0, num_classes)");
+    }
+  }
+}
+
 std::vector<double> balanced_weights(const Dataset& train) {
   const auto counts = train.class_counts();
   std::vector<double> class_w(counts.size(), 1.0);
@@ -68,40 +90,54 @@ std::vector<double> balanced_weights(const Dataset& train) {
   return class_w;
 }
 
+MulticlassSvm train_with(MulticlassStrategy strategy, const Dataset& train,
+                         const MulticlassTrainOptions& options) {
+  return strategy == MulticlassStrategy::kOneVsRest
+             ? train_one_vs_rest(train, options)
+             : train_one_vs_one(train, options);
+}
+
 }  // namespace
 
 MulticlassSvm train_one_vs_rest(const Dataset& train,
                                 const MulticlassTrainOptions& options) {
-  if (train.num_classes < 2) {
-    throw std::invalid_argument("train_one_vs_rest: need >= 2 classes");
-  }
+  PML_OBS_SPAN("ml.train_one_vs_rest");
+  validate_training_set(train, "train_one_vs_rest");
   MulticlassSvm model;
   model.strategy = MulticlassStrategy::kOneVsRest;
   model.num_classes = train.num_classes;
 
-  const auto class_w =
-      options.class_balanced ? balanced_weights(train) : std::vector<double>{};
-
-  for (int k = 0; k < train.num_classes; ++k) {
-    std::vector<int> y(train.size());
-    std::vector<double> cw;
-    if (!class_w.empty()) cw.resize(train.size());
+  // Per-sample costs depend only on the sample's class, not on which
+  // class is being separated: one vector serves every fit.
+  std::vector<double> cw;
+  if (options.class_balanced) {
+    const auto class_w = balanced_weights(train);
+    cw.resize(train.size());
     for (std::size_t i = 0; i < train.size(); ++i) {
-      y[i] = (train.y[i] == k) ? +1 : -1;
-      if (!cw.empty()) cw[i] = class_w[static_cast<std::size_t>(train.y[i])];
+      cw[i] = class_w[static_cast<std::size_t>(train.y[i])];
     }
-    SvmTrainOptions opts = options.base;
-    opts.seed = options.base.seed + static_cast<std::uint64_t>(k) * 7919;
-    model.classifiers.push_back(train_binary_svm(train.X, y, opts, cw));
   }
+
+  // Each fit writes only its own slot: the model cannot depend on which
+  // worker ran which class.
+  model.classifiers.resize(static_cast<std::size_t>(train.num_classes));
+  util::TaskPool::instance().run_group(
+      model.classifiers.size(), "ml.fit", [&](std::size_t k) {
+        std::vector<int> y(train.size());
+        for (std::size_t i = 0; i < train.size(); ++i) {
+          y[i] = (train.y[i] == static_cast<int>(k)) ? +1 : -1;
+        }
+        SvmTrainOptions opts = options.base;
+        opts.seed = options.base.seed + static_cast<std::uint64_t>(k) * 7919;
+        model.classifiers[k] = train_binary_svm(train.X, y, opts, cw);
+      });
   return model;
 }
 
 MulticlassSvm train_one_vs_one(const Dataset& train,
                                const MulticlassTrainOptions& options) {
-  if (train.num_classes < 2) {
-    throw std::invalid_argument("train_one_vs_one: need >= 2 classes");
-  }
+  PML_OBS_SPAN("ml.train_one_vs_one");
+  validate_training_set(train, "train_one_vs_one");
   MulticlassSvm model;
   model.strategy = MulticlassStrategy::kOneVsOne;
   model.num_classes = train.num_classes;
@@ -111,25 +147,31 @@ MulticlassSvm train_one_vs_one(const Dataset& train,
 
   for (int i = 0; i < train.num_classes; ++i) {
     for (int j = i + 1; j < train.num_classes; ++j) {
-      std::vector<std::vector<double>> X;
-      std::vector<int> y;
-      std::vector<double> cw;
-      for (std::size_t s = 0; s < train.size(); ++s) {
-        if (train.y[s] == i || train.y[s] == j) {
-          X.push_back(train.X[s]);
-          y.push_back(train.y[s] == i ? +1 : -1);
-          if (!class_w.empty()) {
-            cw.push_back(class_w[static_cast<std::size_t>(train.y[s])]);
-          }
-        }
-      }
-      SvmTrainOptions opts = options.base;
-      opts.seed = options.base.seed +
-                  static_cast<std::uint64_t>(i * 131 + j) * 7919;
       model.pairs.emplace_back(i, j);
-      model.classifiers.push_back(train_binary_svm(X, y, opts, cw));
     }
   }
+  // Each fit writes only its own slot, as in train_one_vs_rest.
+  model.classifiers.resize(model.pairs.size());
+  util::TaskPool::instance().run_group(
+      model.pairs.size(), "ml.fit", [&](std::size_t t) {
+        const auto [i, j] = model.pairs[t];
+        std::vector<std::vector<double>> X;
+        std::vector<int> y;
+        std::vector<double> cw;
+        for (std::size_t s = 0; s < train.size(); ++s) {
+          if (train.y[s] == i || train.y[s] == j) {
+            X.push_back(train.X[s]);
+            y.push_back(train.y[s] == i ? +1 : -1);
+            if (!class_w.empty()) {
+              cw.push_back(class_w[static_cast<std::size_t>(train.y[s])]);
+            }
+          }
+        }
+        SvmTrainOptions opts = options.base;
+        opts.seed = options.base.seed +
+                    static_cast<std::uint64_t>(i * 131 + j) * 7919;
+        model.classifiers[t] = train_binary_svm(X, y, opts, cw);
+      });
   return model;
 }
 
@@ -183,41 +225,35 @@ MulticlassSvm train_tuned(const Dataset& train, MulticlassStrategy strategy,
                           const std::vector<double>& c_grid,
                           bool search_balanced, double validation_fraction,
                           std::uint64_t seed) {
+  PML_OBS_SPAN("ml.train_tuned");
   if (c_grid.empty()) throw std::invalid_argument("train_tuned: empty grid");
+  validate_training_set(train, "train_tuned");
   const Split val_split = stratified_split(train, 1.0 - validation_fraction,
                                            seed ^ 0xC0FFEEull);
-  double best_acc = -1.0;
-  double best_c = c_grid.front();
-  bool best_balanced = false;
-  const std::vector<bool> balanced_grid =
-      search_balanced ? std::vector<bool>{false, true}
-                      : std::vector<bool>{false};
-  for (const bool balanced : balanced_grid) {
-    for (const double c : c_grid) {
-      MulticlassTrainOptions opts;
-      opts.base.C = c;
-      opts.base.seed = seed;
-      opts.class_balanced = balanced;
-      const MulticlassSvm candidate =
-          strategy == MulticlassStrategy::kOneVsRest
-              ? train_one_vs_rest(val_split.train, opts)
-              : train_one_vs_one(val_split.train, opts);
-      const double acc =
-          accuracy(candidate.predict_all(val_split.test.X), val_split.test.y);
-      if (acc > best_acc) {
-        best_acc = acc;
-        best_c = c;
-        best_balanced = balanced;
-      }
-    }
+  // Candidate g is (balanced = g / |c_grid|, C = c_grid[g % |c_grid|]):
+  // plain costs first, then balanced, each over the grid in order.
+  const std::size_t num_c = c_grid.size();
+  const auto options_for = [&](std::size_t g) {
+    MulticlassTrainOptions opts;
+    opts.base.C = c_grid[g % num_c];
+    opts.base.seed = seed;
+    opts.class_balanced = g >= num_c;
+    return opts;
+  };
+  std::vector<double> acc((search_balanced ? 2 : 1) * num_c);
+  util::TaskPool::instance().run_group(
+      acc.size(), "ml.fit", [&](std::size_t g) {
+        const MulticlassSvm candidate =
+            train_with(strategy, val_split.train, options_for(g));
+        acc[g] = accuracy(candidate.predict_all(val_split.test.X),
+                          val_split.test.y);
+      });
+  // Scan in candidate order with a strict >: the first maximum wins.
+  std::size_t best = 0;
+  for (std::size_t g = 1; g < acc.size(); ++g) {
+    if (acc[g] > acc[best]) best = g;
   }
-  MulticlassTrainOptions opts;
-  opts.base.C = best_c;
-  opts.base.seed = seed;
-  opts.class_balanced = best_balanced;
-  return strategy == MulticlassStrategy::kOneVsRest
-             ? train_one_vs_rest(train, opts)
-             : train_one_vs_one(train, opts);
+  return train_with(strategy, train, options_for(best));
 }
 
 }  // namespace pml::ml
