@@ -15,8 +15,13 @@
 // AVX) are sharded across the shared util::TaskPool (each worker owns one
 // simulator; all workers share one Levelization — the same pattern as
 // core::verify_workload).  Each lane warms up on its chunk's
-// *predecessor* sample (sample 0 for the first chunk), clears the
-// counters, then replays its chunk round by round.  Every arch generator
+// *predecessor* sample (sample 0 for the first chunk) in zero delay,
+// uncounted (BatchEventSimulatorT::warm_up), then replays its chunk round
+// by round, counting.  The warm-up lands where the serial stream's
+// delay-accurate warm-up round does: such a window runs until nothing
+// changes over acyclic logic, so it ends at the zero-delay value of its
+// final inputs.  It runs no events, so only the counted windows can trip
+// the event budget.  Every arch generator
 // reloads its sequential state each inference, so the state after an
 // inference depends only on that inference's inputs and each lane enters
 // its chunk exactly as the serial stream does (proven against the serial

@@ -64,13 +64,17 @@ struct EvaluateOptions {
   /// Capped at one reference batch (sim::BatchSimulator::kLanes, one lane
   /// each); 0 falls back to the cell-count model.
   std::size_t flow_probe_samples = 48;
-  /// SIMD lane-word backend for the verify and activity phases (and the
-  /// cost-model probe replays).  kAuto picks the widest backend the CPU
-  /// supports for verify and the probes, and by occupancy for activity
-  /// (u64 when its 64 lanes hold all power samples, else the widest; see
-  /// ActivityOptions::backend).  Results are bit-identical across
-  /// backends — only throughput changes (for activity, under the
-  /// state-reload precondition in core/activity.hpp).
+  /// SIMD lane-word backend for the verify and activity phases.  kAuto
+  /// picks the widest backend the CPU supports for verify, and by
+  /// occupancy for activity (u64 when its 64 lanes hold all power
+  /// samples, else the widest; see ActivityOptions::backend).  Results
+  /// are bit-identical across backends — only throughput changes (for
+  /// activity, under the state-reload precondition in core/activity.hpp).
+  /// The cost-model probes ignore it and always replay on u64: a probe
+  /// fills at most one 64-lane word, and its cost barely depends on the
+  /// lane count (6 → 64 lanes: 6.8 → 8.5 ms per probe of a 3574-cell
+  /// sequential SVM on an AVX-512 host), so a wider word would only add
+  /// idle lanes.
   sim::Backend backend = sim::Backend::kAuto;
   /// Optional cooperative cancellation: checked at every phase boundary
   /// (optimize -> levelize -> verify -> sta -> activity -> power) and

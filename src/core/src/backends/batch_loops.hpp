@@ -58,17 +58,6 @@ inline constexpr sim::Backend kBackendOf<sim::LaneAvx512> =
     sim::Backend::kAvx512;
 #endif
 
-/// Build the chunked mask with lanes [0, count) set.
-template <class L>
-inline void lanes_mask_chunks(std::size_t count, std::uint64_t* mask) {
-  for (std::size_t c = 0; c < L::kChunks; ++c) {
-    const std::size_t lo = c * 64;
-    mask[c] = count >= lo + 64 ? ~std::uint64_t{0}
-              : count <= lo    ? 0
-                               : (std::uint64_t{1} << (count - lo)) - 1;
-  }
-}
-
 /// Pooled simulators.  The u64 loops keep using the dedicated
 /// WorkerScratch::batch / ::event members (the slots the zero-allocation
 /// contract is proven on); wide backends pool through the type-erased
@@ -235,7 +224,7 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
     return begin == 0 ? std::size_t{0} : begin - 1;
   };
 
-  const auto apply = [&](auto&& sample_of) {
+  const auto stage = [&](auto&& sample_of) {
     for (std::size_t j = 0; j < ports.size(); ++j) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         lane_values[lane] =
@@ -243,20 +232,13 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
       }
       bsim.set_port(*ports[j], lane_values, lanes);
     }
-    if (sequential) {
-      for (int c = 0; c < cycles_per_inference; ++c) bsim.step();
-    } else {
-      bsim.settle();
-    }
   };
 
   bsim.reset();
-  // Warm-up round on each chunk's predecessor sample, then discard the
-  // counts so every lane starts where the serial stream would.
-  lanes_mask_chunks<L>(lanes, mask);
-  bsim.set_count_mask_chunks(mask);
-  apply(warm_sample);
-  bsim.clear_activity();
+  // Uncounted warm-up on each chunk's predecessor sample; zero delay
+  // reaches the state the delay-accurate round would (see warm_up).
+  stage(warm_sample);
+  bsim.warm_up(sequential ? cycles_per_inference : 0);
 
   // Replay rounds; chunk 0 of the batch is always the longest.
   const std::size_t rounds = lane_len(0);
@@ -266,7 +248,12 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
       if (r < lane_len(lane)) mask[sim::lane_chunk(lane)] |= sim::lane_bit(lane);
     }
     bsim.set_count_mask_chunks(mask);
-    apply([&](std::size_t lane) { return sample_at(lane, r); });
+    stage([&](std::size_t lane) { return sample_at(lane, r); });
+    if (sequential) {
+      for (int c = 0; c < cycles_per_inference; ++c) bsim.step();
+    } else {
+      bsim.settle();
+    }
   }
   local.accumulate(bsim.activity());
 }

@@ -16,6 +16,7 @@
 // contract, tested in tests/test_opt_passes.cpp).
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,12 +57,19 @@ struct ProbeWorkload {
 };
 
 /// Measured switching energy (nJ) of one probe replay, glitches included.
+///
+/// One instance pools its probe scratch (simulator, levelization, arena)
+/// and rebinds it per cost() call, so repeated probes of same-shaped
+/// candidates allocate nothing.  The costs equal a fresh instance's, also
+/// after a probe that threw.  The scratch makes one instance unsafe to
+/// probe from two threads at once; give each thread its own.
 class SwitchingEnergyCost final : public CostModel {
  public:
   /// `lib` is borrowed and must outlive the model.  Throws
   /// std::invalid_argument on an empty probe.
   SwitchingEnergyCost(const cells::CellLibrary& lib, ProbeWorkload probe,
                       double time_quantum_ms = 0.02);
+  ~SwitchingEnergyCost() override;
 
   [[nodiscard]] double cost(const netlist::Module& m) const override;
   [[nodiscard]] std::string name() const override {
@@ -69,9 +77,12 @@ class SwitchingEnergyCost final : public CostModel {
   }
 
  private:
+  struct Scratch;
+
   const cells::CellLibrary& lib_;
   ProbeWorkload probe_;
   double time_quantum_ms_;
+  std::unique_ptr<Scratch> scratch_;
 };
 
 }  // namespace pml::opt

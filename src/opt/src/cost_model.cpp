@@ -4,6 +4,8 @@
 
 #include "pml/power/power.hpp"
 #include "pml/sim/batch_event_sim.hpp"
+#include "pml/sim/levelize.hpp"
+#include "pml/util/arena.hpp"
 
 namespace pml::opt {
 
@@ -11,21 +13,42 @@ double CellCountCost::cost(const netlist::Module& m) const {
   return static_cast<double>(m.cells().size());
 }
 
+struct SwitchingEnergyCost::Scratch {
+  sim::Levelization lv;
+  /// Aliasing handle onto lv: no control block, so rebinding the
+  /// simulator to it never allocates.
+  std::shared_ptr<const sim::Levelization> lv_handle{std::shared_ptr<void>(),
+                                                     &lv};
+  util::Arena arena;
+  sim::BatchEventSimulator sim;
+};
+
 SwitchingEnergyCost::SwitchingEnergyCost(const cells::CellLibrary& lib,
                                          ProbeWorkload probe,
                                          double time_quantum_ms)
-    : lib_(lib), probe_(std::move(probe)), time_quantum_ms_(time_quantum_ms) {
+    : lib_(lib),
+      probe_(std::move(probe)),
+      time_quantum_ms_(time_quantum_ms),
+      scratch_(std::make_unique<Scratch>()) {
   if (probe_.samples.empty()) {
     throw std::invalid_argument("SwitchingEnergyCost: empty probe workload");
   }
 }
+
+SwitchingEnergyCost::~SwitchingEnergyCost() = default;
 
 double SwitchingEnergyCost::cost(const netlist::Module& m) const {
   constexpr std::size_t kLanes = sim::BatchEventSimulator::kLanes;
   const auto& inputs = m.input_ports();
   const std::size_t lanes = std::min(probe_.samples.size(), kLanes);
 
-  sim::BatchEventSimulator sim(m, lib_, time_quantum_ms_);
+  // Rebinding resets the simulator (staged inputs, counters, count mask),
+  // so nothing a previous probe left behind, thrown or not, survives.
+  Scratch& s = *scratch_;
+  s.arena.reset();
+  sim::levelize_into(m, s.lv, s.arena);
+  sim::BatchEventSimulator& sim = s.sim;
+  sim.rebind(m, lib_, time_quantum_ms_, s.lv_handle);
   sim.set_count_mask(lanes == kLanes ? ~std::uint64_t{0}
                                      : (std::uint64_t{1} << lanes) - 1);
   std::uint64_t lane_values[kLanes] = {};

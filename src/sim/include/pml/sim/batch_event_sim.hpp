@@ -39,7 +39,9 @@
 // bit-exact against the scalar oracle on generated sequential-SVM,
 // parallel-SVM and MLP circuits, on random netlists and on the kernel's
 // edge cases (equal-tick reconvergence, one net on two pins, repeated
-// staging, long-lived sources).
+// staging, long-lived sources).  tests/test_sim_batch_event.cpp also
+// proves warm_up() against the delay-accurate round it stands in for, on
+// every backend.
 //
 // `BatchEventSimulator` remains the 64-lane scalar instantiation; AVX2
 // (256-lane) / AVX-512 (512-lane) instantiations are created only in the
@@ -47,10 +49,12 @@
 //
 // Transition counts (the input to power::estimate's glitch-aware dynamic
 // power) are accumulated per net as the popcount of the changed-bits word
-// masked to the *counted* lanes, so ragged (< kLanes stream) batches,
-// per-lane stream exhaustion, and warm-up cycles stay exact: the
-// accumulated ActivityStats equal the sum of scalar EventSimulator
-// ActivityStats over the counted lanes' sample histories.
+// masked to the *counted* lanes, so ragged (< kLanes stream) batches and
+// per-lane stream exhaustion stay exact: the accumulated ActivityStats
+// equal the sum of scalar EventSimulator ActivityStats over the counted
+// lanes' sample histories.  warm_up() reaches a round's final state in
+// zero delay, counting nothing, for rounds whose transitions are not
+// wanted (the power replay's warm-up).
 //
 // This is the engine behind core::collect_activity (the power replay)
 // and opt::SwitchingEnergyCost (the optimizer's cost probes).  The scalar
@@ -273,6 +277,32 @@ class BatchEventSimulatorT {
     activity_.cycles += counted;
     propagate(sources);
   }
+  /// Uncounted warm-up: apply the staged primary-input changes and run
+  /// `cycles` clock cycles (<= 0: one settle) as zero-delay sweeps,
+  /// latching D -> Q between them.  No counter or waveform is touched.
+  /// From a settled state this leaves every net and DFF lane word where
+  /// settle() (cycles <= 0) or step() x cycles leaves them: a
+  /// delay-accurate window runs until nothing changes over acyclic
+  /// logic, so it ends at the zero-delay value of its final inputs.
+  void warm_up(int cycles) {
+    for (const Staged& e : pending_inputs_) {
+      std::copy(e.w, e.w + kChunks, values_.data() + e.net * kChunks);
+    }
+    pending_inputs_.clear();
+    full_settle_zero_delay();
+    for (int c = 0; c < cycles; ++c) {
+      for (std::size_t i = 0; i < dffs_.size(); ++i) {
+        L::store(dff_state_.data() + i * kChunks,
+                 L::load(values_.data() + dffs_[i].d * kChunks));
+      }
+      for (std::size_t i = 0; i < dffs_.size(); ++i) {
+        L::store(values_.data() + dffs_[i].q * kChunks,
+                 L::load(dff_state_.data() + i * kChunks));
+      }
+      full_settle_zero_delay();
+    }
+    PML_OBS_COUNT("sim.batch_event.warm_cycles", std::max(cycles, 0) + 1);
+  }
 
   // --- observation ----------------------------------------------------------
   /// Lanes [0, 64) of a net (historical 64-lane API).
@@ -281,6 +311,10 @@ class BatchEventSimulatorT {
   }
   [[nodiscard]] bool net(netlist::NetId net, std::size_t lane) const {
     return extract_lane(values_.data() + net * kChunks, lane);
+  }
+  /// One lane of DFF `i`'s latched state (Levelization::dffs order).
+  [[nodiscard]] bool dff_state(std::size_t i, std::size_t lane) const {
+    return extract_lane(dff_state_.data() + i * kChunks, lane);
   }
   /// Read a port in one lane as an unsigned integer (LSB first).
   [[nodiscard]] std::uint64_t port_unsigned(const netlist::Port& port,
@@ -615,7 +649,7 @@ class BatchEventSimulatorT {
   }
 
   void full_settle_zero_delay() {
-    // Levelized consistent assignment used for initialization only (mirrors
+    // Levelized consistent assignment, for reset() and warm_up() (mirrors
     // EventSimulator::full_settle_zero_delay, kLanes lanes at a time).
     std::uint64_t* const v = values_.data();
     for (const WaveOp& op : ops_) {

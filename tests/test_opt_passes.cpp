@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -646,6 +647,49 @@ TEST(PassManagerCost, AcceptRejectTraceIsDeterministic) {
     }
     // Cost never worsens along an accepted trajectory (tolerance 0).
     EXPECT_LE(ra.cost_after, ra.cost_before);
+  }
+}
+
+TEST(PassManagerCost, PooledProbeEqualsAFreshModelPerModule) {
+  const cells::CellLibrary lib = cells::CellLibrary::egfet();
+  for (const bool with_dffs : {true, false}) {
+    SCOPED_TRACE(with_dffs ? "sequential" : "combinational");
+    // A, and B = A after the area flow: same ports, another shape.
+    const Module a = random_module(61, with_dffs);
+    Module b = a;
+    OptOptions area;
+    area.flow = "area";
+    (void)optimize(b, area);
+    ASSERT_NE(a.cells().size(), b.cells().size());
+    // C has a port count the probe samples do not fit, so probing it
+    // throws.
+    Module c = random_module(62, with_dffs);
+    for (std::uint64_t seed = 63;
+         c.input_ports().size() == a.input_ports().size(); ++seed) {
+      c = random_module(seed, with_dffs);
+    }
+    ProbeWorkload probe;
+    probe.cycles_per_inference = with_dffs ? 2 : 0;
+    std::uint64_t s = 97;
+    for (int i = 0; i < 16; ++i) {
+      std::vector<std::uint64_t> row;
+      for (std::size_t p = 0; p < a.input_ports().size(); ++p) {
+        row.push_back(xorshift(s) & 0xF);
+      }
+      probe.samples.push_back(std::move(row));
+    }
+    const auto fresh = [&](const Module& m) {
+      return SwitchingEnergyCost(lib, probe).cost(m);
+    };
+    ASSERT_GT(fresh(a), 0.0);
+    const SwitchingEnergyCost pooled(lib, probe);
+    EXPECT_EQ(pooled.cost(a), fresh(a));
+    EXPECT_EQ(pooled.cost(a), fresh(a));
+    EXPECT_EQ(pooled.cost(b), fresh(b));
+    EXPECT_EQ(pooled.cost(a), fresh(a));
+    EXPECT_THROW((void)pooled.cost(c), std::invalid_argument);
+    EXPECT_EQ(pooled.cost(b), fresh(b));
+    EXPECT_EQ(pooled.cost(a), fresh(a));
   }
 }
 

@@ -5,9 +5,10 @@
 // parallel SVM, MLP) and on random netlists; ragged (<64 lane) batches,
 // back-to-back inference without reset, count masking, the waveform
 // kernel's edge cases (equal-tick reconvergence, one net on two pins,
-// repeated staging, a source live across the whole sweep), and the sharded
-// core::collect_activity driver against one serial scalar stream on every
-// generator, backend and thread count.
+// repeated staging, a source live across the whole sweep), the uncounted
+// zero-delay warm_up against the delay-accurate round it replaces (on
+// every backend), and the sharded core::collect_activity driver against
+// one serial scalar stream on every generator, backend and thread count.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,17 @@
 #include "pml/sim/cycle_sim.hpp"
 #include "pml/sim/event_sim.hpp"
 
+#define PML_WARM_UP_CHECK_IMPL
+#include "warm_up_check.hpp"
+
 namespace pml::sim {
+namespace warm_check {
+
+std::string warm_up_mismatch_u64(const Case& c) {
+  return warm_up_mismatch<LaneU64>(c);
+}
+
+}  // namespace warm_check
 namespace {
 
 using netlist::CellType;
@@ -624,6 +635,87 @@ TEST(BatchEventKernel, SourceReadByFirstAndLastLevelStaysLive) {
     rounds.push_back(std::move(round));
   }
   expect_staged_rounds_match_scalar(m, rounds);
+}
+
+// --- warm_up: the power replay's uncounted warm-up ---------------------------
+// After warm_up, every net and DFF lane equals what the delay-accurate
+// round it replaces (settle(), or step() x cycles) leaves, and no counter
+// moved (see warm_up_check.hpp).
+
+/// Run the check on u64 and on every available wide backend.
+void expect_warm_up_exact(const warm_check::Case& c) {
+  EXPECT_EQ(warm_check::warm_up_mismatch_u64(c), "") << "u64";
+  if (backend_available(Backend::kAvx2)) {
+    EXPECT_EQ(warm_check::warm_up_mismatch_avx2(c), "") << "avx2";
+  }
+  if (backend_available(Backend::kAvx512)) {
+    EXPECT_EQ(warm_check::warm_up_mismatch_avx512(c), "") << "avx512";
+  }
+}
+
+/// 3 rounds of 512 lanes: every backend sees distinct rows in every lane.
+constexpr std::size_t kRows = 3 * 512;
+
+TEST(WarmUp, EqualsDelayAccurateRoundOnGeneratedCircuits) {
+  const auto lib = cells::CellLibrary::egfet();
+  const QuantizedSvm q = random_svm(4, 3, 3, 4, 19);
+  const QuantizedMlp m = random_mlp(2, 3, 3, 2, 43);
+  const auto xs = random_samples(kRows, 3, q.input_format.max_code(), 7);
+  const auto mxs = random_samples(kRows, 2, m.input_format.max_code(), 11);
+  opt::OptOptions raw;
+  raw.enabled = false;
+  const auto seq_raw = arch::build_sequential_svm(q, raw);
+  const auto seq_opt = arch::build_sequential_svm(q);
+  const auto par = arch::build_parallel_svm(q);
+  const auto mlp = arch::build_mlp_circuit(m);
+  const auto seq_mlp = arch::build_sequential_mlp(m);
+  struct Named {
+    const char* name;
+    const Module& module;
+    int cycles;
+    std::size_t features;
+    const std::vector<std::vector<std::int64_t>>& samples;
+  };
+  for (const Named& n : {
+           Named{"sequential_svm_raw", seq_raw.module,
+                 seq_raw.cycles_per_inference, 3, xs},
+           Named{"sequential_svm_opt", seq_opt.module,
+                 seq_opt.cycles_per_inference, 3, xs},
+           Named{"parallel_svm", par.module, 0, 3, xs},
+           Named{"mlp", mlp.module, 0, 2, mxs},
+           Named{"sequential_mlp", seq_mlp.module,
+                 seq_mlp.cycles_per_inference, 2, mxs},
+       }) {
+    SCOPED_TRACE(n.name);
+    warm_check::Case c;
+    c.module = &n.module;
+    c.lib = &lib;
+    c.cycles = n.cycles;
+    c.ports = feature_port_list(n.module, n.features);
+    c.samples = n.samples;
+    expect_warm_up_exact(c);
+  }
+}
+
+TEST(WarmUp, EqualsDelayAccurateRoundOnRandomNetlists) {
+  const auto lib = cells::CellLibrary::egfet();
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Module m = random_module(seed, 6, 60, 5);
+    ASSERT_EQ(m.validate(), std::nullopt);
+    // Clocked 0 (settle only), 1 and 2 times per round.
+    for (const int cycles : {0, 1, 2}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " cycles " +
+                   std::to_string(cycles));
+      warm_check::Case c;
+      c.module = &m;
+      c.lib = &lib;
+      c.quantum = 0.01;
+      c.cycles = cycles;
+      c.ports = {m.find_input("x")};
+      c.samples = random_samples(kRows, 1, 0x3F, seed * 31);
+      expect_warm_up_exact(c);
+    }
+  }
 }
 
 }  // namespace
