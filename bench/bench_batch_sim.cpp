@@ -139,20 +139,16 @@ int main(int argc, char** argv) {
   // No tracer is installed during the legs above, so every PML_OBS_COUNT
   // cost one relaxed fetch_add and every PML_OBS_SPAN one relaxed load.
   // Reconstruct the exact number of macro invocations the batch leg made
-  // from the counter deltas (lane_words adds once per propagate sweep,
-  // batches once per claimed batch), price them at the measured
-  // per-invocation cost, and compare against the leg's wall time.  The
-  // budget is <= 1% — enforced here (exit 3) and gated in CI via the
-  // obs.overhead_ok metric.
+  // from the batch count (per claimed batch: sim.batch.batches,
+  // .lanes_active, .lane_capacity and one .lane_words publish; once for
+  // the single worker: its span and the .lane_words publish of its bind),
+  // price them at the measured per-invocation cost, and compare against
+  // the leg's wall time.  The budget is <= 1% — enforced here (exit 3) and
+  // gated in CI via the obs.overhead_ok metric.
   const double count_ns =
       calibrate_count_ns(args.quick ? 10'000'000 : 50'000'000);
-  const std::uint64_t comb_ops =
-      static_cast<std::uint64_t>(stats.num_cells - stats.num_dffs);
-  const std::uint64_t propagates =
-      comb_ops > 0 ? obs_delta.counter_value("sim.batch.lane_words") / comb_ops
-                   : 0;
   const std::uint64_t batches = obs_delta.counter_value("sim.batch.batches");
-  const std::uint64_t obs_calls = propagates + batches + /*worker span*/ 1;
+  const std::uint64_t obs_calls = 4 * batches + 2;
   const double overhead_frac =
       static_cast<double>(obs_calls) * count_ns / (batch_s * 1e9);
   const bool overhead_ok = overhead_frac <= 0.01;

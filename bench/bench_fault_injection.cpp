@@ -10,10 +10,12 @@
 // quantifies that robustness trade-off, which the paper does not evaluate.
 //
 // The campaign runs on core::run_fault_campaign — kLanes - 1 fault
-// variants plus the golden reference per pass of sim::BatchFaultSimulator,
-// each pass evaluating only its faults' fanout cone — which turns the old
-// 5-point, few-trial sweep into a dense campaign (every single-fault site
-// exhaustively, plus hundreds of multi-fault trials).  The scalar
+// variants plus the golden reference per pass of the zero-delay
+// sim::BatchSimulator (the verification engine, one fault variant per
+// lane), each pass evaluating only its faults' fanout cone — which turns
+// the old 5-point, few-trial sweep into a dense campaign (every
+// single-fault site exhaustively, plus hundreds of multi-fault trials).
+// The scalar
 // CycleSimulator::force_net replay is retained as the timed reference and
 // correctness oracle.
 //

@@ -6,8 +6,9 @@
 // and the paper's folded sequential SVM concentrates risk: one shared MAC
 // engine means a single stuck-at fault corrupts every class score.  A
 // campaign takes a list of fault sets (each a list of stuck-at sites) and
-// packs them into the fewest passes of the bit-parallel
-// sim::BatchFaultSimulator that hold at most kLanes - 1 each — 63 / 255 /
+// packs them into the fewest passes of the bit-parallel zero-delay
+// sim::BatchSimulator (the same engine as verify_workload, here with one
+// fault variant per lane) that hold at most kLanes - 1 each — 63 / 255 /
 // 511 under u64 / AVX2 / AVX-512 (lane 0 carries the fault-free golden
 // reference for free) — sized within one of each other.  Each pass
 // evaluates only the fanout cone of its faults: outside it every lane is

@@ -38,7 +38,6 @@
 #include "pml/obs/metrics.hpp"
 #include "pml/obs/trace.hpp"
 #include "pml/sim/batch_event_sim.hpp"
-#include "pml/sim/batch_fault_sim.hpp"
 #include "pml/sim/batch_sim.hpp"
 #include "pml/sim/lanes.hpp"
 #include "pml/util/parallel.hpp"
@@ -136,6 +135,9 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
     bsim.rebind(*job.module, job.lv);
     std::uint64_t lane_values[kLanes];
     for (;;) {
+      // Publish the rebind's settle, then each finished batch, before any
+      // exit.
+      PML_OBS_COUNT("sim.batch.lane_words", bsim.take_lane_words());
       if (mismatch_count.load(std::memory_order_relaxed) >=
           job.max_mismatches) {
         return;
@@ -151,7 +153,6 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
       const std::size_t count = std::min(kLanes, num_samples - begin);
       PML_OBS_COUNT("sim.batch.lanes_active", count);
       PML_OBS_COUNT("sim.batch.lane_capacity", kLanes);
-      bsim.set_active_lanes(count);
       for (std::size_t j = 0; j < ports.size(); ++j) {
         for (std::size_t lane = 0; lane < count; ++lane) {
           lane_values[lane] = static_cast<std::uint64_t>(
@@ -348,9 +349,11 @@ void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
   // golden count), so workers need no locking on results.
   auto worker = [&](std::size_t /*thread_index*/) {
     PML_OBS_SPAN("fault.worker");
-    sim::BatchFaultSimulatorT<L> bsim(*job.module, job.lv);
+    sim::BatchSimulatorT<L> bsim(*job.module, job.lv);
     std::size_t miscount[kLanes];
     for (;;) {
+      // Publish the constructor's settle, then each finished batch.
+      PML_OBS_COUNT("sim.batch_fault.lane_words", bsim.take_lane_words());
       // Cancellation checkpoint between variant batches: a long campaign
       // can be abandoned without waiting for the full sweep.
       if (job.cancel != nullptr) job.cancel->check("fault.batch");
@@ -378,8 +381,8 @@ void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
           for (std::uint64_t diff = (cur[word] ^ prev) & mask; diff != 0;
                diff &= diff - 1) {
             const auto bit = static_cast<unsigned>(std::countr_zero(diff));
-            bsim.set_net(trace.nets[word * 64 + bit],
-                         ((cur[word] >> bit) & 1u) != 0);
+            bsim.set_net_broadcast(trace.nets[word * 64 + bit],
+                                   ((cur[word] >> bit) & 1u) != 0);
           }
         }
         bsim.propagate();
@@ -416,19 +419,19 @@ void run_probe_loop(const ProbeJob& job, BatchProbeResult& result) {
 
   result.lanes = kLanes;
   result.class_values.assign(num_samples, 0);
-  result.net_toggles.assign(job.module->num_nets(), 0);
+  result.net_ones.assign(job.module->num_nets(), 0);
 
   sim::BatchSimulatorT<L> bsim(*job.module, job.lv);
   std::uint64_t lane_values[kLanes];
+  std::uint64_t active[L::kChunks];
   for (std::size_t b = 0; b < num_batches; ++b) {
     if (job.cancel != nullptr) job.cancel->check("probe.batch");
     const std::size_t begin = b * kLanes;
     const std::size_t count = std::min(kLanes, num_samples - begin);
     // Reset per batch: every sample starts from power-on state, so the
-    // outputs and toggle sums cannot depend on lane packing (see
+    // outputs and per-net counts cannot depend on lane packing (see
     // backend_probe.hpp).
     bsim.reset();
-    bsim.set_active_lanes(count);
     for (std::size_t j = 0; j < ports.size(); ++j) {
       for (std::size_t lane = 0; lane < count; ++lane) {
         lane_values[lane] =
@@ -441,15 +444,20 @@ void run_probe_loop(const ProbeJob& job, BatchProbeResult& result) {
     } else {
       bsim.propagate();
     }
+    std::fill(active, active + L::kChunks, 0);
     for (std::size_t lane = 0; lane < count; ++lane) {
       result.class_values[begin + lane] =
           bsim.port_unsigned(*job.class_port, lane);
+      active[sim::lane_chunk(lane)] |= sim::lane_bit(lane);
     }
-    const std::vector<std::uint64_t>& toggles = bsim.toggles();
-    for (std::size_t net = 0; net < toggles.size(); ++net) {
-      result.net_toggles[net] += toggles[net];
+    for (std::size_t net = 0; net < result.net_ones.size(); ++net) {
+      for (std::size_t c = 0; c < L::kChunks; ++c) {
+        result.net_ones[net] += static_cast<std::uint64_t>(
+            std::popcount(bsim.net_chunk(net, c) & active[c]));
+      }
     }
   }
+  PML_OBS_COUNT("sim.batch.lane_words", bsim.take_lane_words());
 }
 
 /// Build one backend's kernel table from the templated loops.

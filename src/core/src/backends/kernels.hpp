@@ -118,8 +118,8 @@ void run_campaign_protocol(Sim& sim, const FaultJob& job, Settle&& settle,
   settle(row++);
   for (std::size_t i = 0; i < job.num_samples; ++i) {
     for (std::size_t j = 0; j < ports.size(); ++j) {
-      sim.set_port(*ports[j],
-                   static_cast<std::uint64_t>(workload.feature_codes[i][j]));
+      sim.set_port_broadcast(
+          *ports[j], static_cast<std::uint64_t>(workload.feature_codes[i][j]));
     }
     for (std::size_t s = 0; s < job.settles_per_sample; ++s) {
       if (s > 0) sim.clock();

@@ -157,9 +157,9 @@ void evaluate_circuit_into(EvalContext& ctx, HardwareReport& rep,
   }();
 
   // --- 1. functional verification (full workload, zero-delay) -------------
-  // Batched bit-parallel simulation sharded across threads; the
-  // scalar CycleSimulator remains available as the reference and for fault
-  // injection, but the hot verification gate runs on sim::BatchSimulator.
+  // Batched bit-parallel simulation sharded across threads; the scalar
+  // CycleSimulator remains the reference, but the hot verification gate
+  // runs on sim::BatchSimulator.
   VerifyOptions vopts = options.verify;
   vopts.levelization = lv;
   vopts.context = &ctx;

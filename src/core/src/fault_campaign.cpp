@@ -10,7 +10,7 @@
 #include "pml/obs/metrics.hpp"
 #include "pml/obs/trace.hpp"
 #include "pml/sim/backend.hpp"
-#include "pml/sim/batch_fault_sim.hpp"
+#include "pml/sim/batch_sim.hpp"
 
 namespace pml::core {
 
@@ -217,7 +217,7 @@ std::size_t record_golden_trace(const backends::FaultJob& job,
   trace.rows.assign((1 + job.num_samples * job.settles_per_sample) *
                         trace.words,
                     0);
-  sim::BatchFaultSimulator replay(module, job.lv);
+  sim::BatchSimulator replay(module, job.lv);
   replay.restrict_to(comb, dffs);
   std::size_t golden = 0;
   backends::run_campaign_protocol(
@@ -238,6 +238,7 @@ std::size_t record_golden_trace(const backends::FaultJob& job,
                     job.workload->expected_class[i];
         }
       });
+  PML_OBS_COUNT("sim.batch_fault.lane_words", replay.take_lane_words());
   return golden;
 }
 

@@ -1,41 +1,52 @@
 #pragma once
 // Width-generic bit-parallel (SWAR) zero-delay batch simulator.
 //
-// BatchSimulatorT<L> packs L::kWidth independent workload samples into one
-// lane word per net (bit L = lane L's logic value, stored as L::kChunks
-// uint64_t chunks) and evaluates the levelized netlist once per clock
-// cycle for all lanes simultaneously: an AND2 becomes one machine AND
-// (scalar or vector), a MUX2 three bit-ops.  Functional results are
-// bit-identical to CycleSimulator lane by lane for EVERY backend — the
-// equivalence suites in tests/test_sim_batch.cpp (u64) and
-// tests/test_sim_backend.cpp (wide backends vs u64) prove it on generated
-// sequential-SVM, parallel-SVM, and MLP circuits.
+// BatchSimulatorT<L> packs L::kWidth lanes into one lane word per net (bit
+// L = lane L's logic value, stored as L::kChunks uint64_t chunks) and
+// evaluates the levelized netlist once per settle for all lanes at once:
+// an AND2 becomes one machine AND (scalar or vector), a MUX2 three
+// bit-ops.  It is the one zero-delay batch engine, used two ways:
+//  - samples: kLanes independent workload samples through one design
+//    (core::verify_workload, probe_batch_backend);
+//  - fault variants: kLanes stuck-at variants of the same design on the
+//    same input (core::run_fault_campaign's variant batches, and the
+//    single-lane golden replay that feeds them).
+// Functional results are bit-identical, lane by lane, to the scalar
+// CycleSimulator oracle (with the same faults installed via force_net)
+// for EVERY backend — tests/test_sim_batch.cpp, test_sim_fault_batch.cpp
+// (u64) and test_sim_backend.cpp (wide backends vs u64) prove it on
+// generated sequential-SVM, parallel-SVM, MLP and random netlists.
 //
-// `BatchSimulator` remains the 64-lane scalar instantiation — the
-// always-built reference.  The AVX2 (256-lane) and AVX-512 (512-lane)
-// instantiations are only created inside per-flag TUs
-// (src/core/src/backends/backend_avx2.cpp / backend_avx512.cpp); runtime
-// selection goes through sim::resolve_backend (sim/backend.hpp).
+// Stuck-at faults.  Each forced net carries a stuck-at-0 and a stuck-at-1
+// lane mask, applied after its driver's eval (cell outputs) or at the
+// start of every sweep (PIs, DFF Qs), so lane L sees the net stuck where
+// bit L of a mask is set.  Unforced cells are evaluated with no mask work
+// at all: with no fault installed a sweep is one plain pass.  Lane 0 is
+// reserved fault-free (set_fault rejects it), so every variant batch
+// carries the golden reference for free.
 //
-// This is the engine behind core::verify_workload, which shards batches
-// across threads and replaces the scalar sample-at-a-time loop in
-// evaluate_circuit's bit-exactness gate.  CycleSimulator remains the
-// scalar reference and the fault-injection vehicle.
+// Cone restriction.  restrict_to() narrows evaluation to a subset of the
+// cells — in a fault campaign, the fanout cone of a batch's fault sites,
+// outside which every lane holds the fault-free value.  Nets the subset
+// reads but does not drive become the caller's to drive (set_net*), e.g.
+// from a recorded fault-free trace.  rebind() returns to the whole
+// circuit and drops every fault.
 //
-// Toggle counts are accumulated per net as the *sum over active lanes* of
-// per-lane functional transitions (a popcount of the changed-bits word,
-// masked to the active lanes), so zero-delay activity statistics keep
-// working under batching and ragged (< kLanes sample) final batches never
-// pollute the counters.
+// `BatchSimulator` is the 64-lane scalar instantiation — the always-built
+// reference.  The AVX2 (256-lane) and AVX-512 (512-lane) instantiations
+// are only created inside per-flag TUs (src/core/src/backends/
+// backend_avx2.cpp / backend_avx512.cpp); runtime selection goes through
+// sim::resolve_backend (sim/backend.hpp).
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pml/netlist/module.hpp"
-#include "pml/obs/metrics.hpp"
 #include "pml/sim/lanes.hpp"
 #include "pml/sim/levelize.hpp"
 #include "pml/sim/swar.hpp"
@@ -45,7 +56,8 @@ namespace pml::sim {
 template <LaneWord L>
 class BatchSimulatorT {
  public:
-  /// Lanes per batch: one sample per bit of the SWAR lane word.
+  /// Lanes per batch: one sample (or fault variant) per bit of the SWAR
+  /// lane word.
   static constexpr std::size_t kLanes = L::kWidth;
   /// uint64_t storage chunks per lane word (lane L -> chunk L/64).
   static constexpr std::size_t kChunks = L::kChunks;
@@ -55,39 +67,61 @@ class BatchSimulatorT {
   BatchSimulatorT() = default;
   explicit BatchSimulatorT(const netlist::Module& module)
       : BatchSimulatorT(module, levelize_shared(module)) {}
-  /// Reuse a previously derived levelization (verification workers across
-  /// threads share one instead of re-deriving it per simulator).
+  /// Reuse a previously derived levelization (workers across threads
+  /// share one instead of re-deriving it per simulator).
   BatchSimulatorT(const netlist::Module& module,
-                  std::shared_ptr<const Levelization> lv) {
-    rebind(module, std::move(lv));
+                  const std::shared_ptr<const Levelization>& lv) {
+    rebind(module, lv);
   }
 
   /// (Re)bind to a module, reusing all internal vector capacities: a
   /// pooled simulator rebound to same-shaped modules performs zero heap
-  /// allocation.  The module and levelization are borrowed and must
-  /// outlive the binding; lane masks/counters are reset as by reset().
+  /// allocation.  The module is borrowed and must outlive the binding;
+  /// the levelization is only read here.  Faults, cone and counters are
+  /// cleared, the whole circuit is evaluated, and the state is as after
+  /// reset().
   void rebind(const netlist::Module& module,
-              std::shared_ptr<const Levelization> lv) {
+              const std::shared_ptr<const Levelization>& lv) {
     if (lv == nullptr) {
       throw std::invalid_argument("BatchSimulator: null levelization");
     }
     module_ = &module;
-    lv_ = std::move(lv);
-    swar_comb_ops_into(ops_, *module_, *lv_);
-    swar_dff_ops_into(dffs_, *module_, *lv_);
+    swar_comb_ops_into(ops_, *module_, *lv);
+    swar_dff_ops_into(dffs_, *module_, *lv);
     values_.assign(module_->num_nets() * kChunks, 0);
-    toggles_.assign(module_->num_nets(), 0);
     dff_state_.assign(dffs_.size() * kChunks, 0);
-    std::fill(active_mask_, active_mask_ + kChunks, ~std::uint64_t{0});
-    active_lanes_ = kLanes;
-    inputs_dirty_ = false;
+    clear_faults();  // before the resize: it indexes force_slot_ by old nets
+    force_slot_.assign(module_->num_nets(), kNoForce);
+    lane_words_ = 0;
     reset();
   }
   [[nodiscard]] bool bound() const noexcept { return module_ != nullptr; }
 
-  /// Restore all DFFs (every lane) to their power-on values, zero all
-  /// nets, settle, and clear toggle/cycle counters.
-  void reset() {
+  /// Evaluate only `comb_cells` (cell indices, in Levelization::comb_order
+  /// order) and clock only `dff_cells` from now on.  Every other net keeps
+  /// whatever it holds: nets the subset reads but does not drive are the
+  /// caller's to drive before each propagate().  Installed faults are
+  /// kept; their nets must be PIs or driven by the subset.
+  void restrict_to(std::span<const std::uint32_t> comb_cells,
+                   std::span<const std::uint32_t> dff_cells) {
+    const auto& cells = module_->cells();
+    ops_.clear();
+    for (const std::uint32_t c : comb_cells) {
+      ops_.push_back(flatten_cell(cells[c]));
+    }
+    dffs_.clear();
+    for (const std::uint32_t c : dff_cells) {
+      dffs_.push_back(flatten_dff(cells[c]));
+    }
+    dff_state_.assign(dffs_.size() * kChunks, 0);
+    plan_dirty_ = true;
+    inputs_dirty_ = true;
+  }
+
+  /// Restore the evaluated DFFs (every lane) to their power-on values and
+  /// zero all nets, without settling.  Drive any boundary nets, then
+  /// propagate(): together that is reset().
+  void power_on() {
     std::fill(values_.begin(), values_.end(), 0);
     for (std::size_t c = 0; c < kChunks; ++c) {
       values_[netlist::kConst1 * kChunks + c] = ~std::uint64_t{0};
@@ -99,60 +133,100 @@ class BatchSimulatorT {
         values_[dffs_[i].q * kChunks + c] = dffs_[i].init;
       }
     }
-    // Settle combinational logic so reads at time zero are consistent,
-    // then discard the settling transitions (matches CycleSimulator).
-    propagate();
-    std::fill(toggles_.begin(), toggles_.end(), 0);
     cycles_ = 0;
+    inputs_dirty_ = true;
   }
 
-  // --- lane control ---------------------------------------------------------
-  /// Declare lanes [0, count) active (1 <= count <= kLanes).  Inactive
-  /// lanes still simulate but are excluded from toggle counting; their
-  /// outputs are meaningless and must not be read.
-  void set_active_lanes(std::size_t count) {
-    if (count == 0 || count > kLanes) {
-      throw std::out_of_range("set_active_lanes: count out of [1, kLanes]");
-    }
-    active_lanes_ = count;
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      const std::size_t lo = c * 64;
-      active_mask_[c] = count >= lo + 64 ? ~std::uint64_t{0}
-                        : count <= lo    ? 0
-                                         : (std::uint64_t{1} << (count - lo)) - 1;
-    }
+  /// Restore all DFFs (every lane) to their power-on values, zero all
+  /// nets, and settle with the installed faults applied — the batch
+  /// equivalent of CycleSimulator::reset (after force_net).
+  void reset() {
+    power_on();
+    propagate();
   }
-  [[nodiscard]] std::size_t active_lanes() const { return active_lanes_; }
-  /// Chunk 0 of the active-lane mask (bit L set iff lane L < 64 is
-  /// active); the full mask of a wide backend is per-chunk.
-  [[nodiscard]] std::uint64_t active_mask() const { return active_mask_[0]; }
+
+  // --- fault control --------------------------------------------------------
+  /// Stick `net` at `stuck_value` in fault variant `lane` (1 <= lane <
+  /// kLanes; lane 0 is the reserved fault-free reference).  Re-sticking
+  /// the same net in the same lane overwrites, like
+  /// CycleSimulator::force_net.  Takes effect from the next
+  /// reset()/propagate()/step().  Throws on lane 0, out-of-range
+  /// nets/lanes, and the constant nets.
+  void set_fault(netlist::NetId net, std::size_t lane, bool stuck_value) {
+    if (net >= force_slot_.size()) {
+      throw std::out_of_range("set_fault: bad net");
+    }
+    if (lane == 0) {
+      throw std::invalid_argument(
+          "set_fault: lane 0 is the reserved fault-free reference");
+    }
+    if (lane >= kLanes) throw std::out_of_range("set_fault: bad lane");
+    if (net == netlist::kConst0 || net == netlist::kConst1) {
+      throw std::invalid_argument("set_fault: cannot force a constant net");
+    }
+    std::uint32_t& slot = force_slot_[net];
+    if (slot == kNoForce) {
+      slot = static_cast<std::uint32_t>(forces_.size());
+      forces_.push_back(Force{net, kNoOp});
+      force_masks_.resize(force_masks_.size() + 2 * kChunks, 0);
+      plan_dirty_ = true;
+    }
+    std::uint64_t* const f0 = force0(slot);
+    std::uint64_t* const f1 = force1(slot);
+    const std::size_t c = lane_chunk(lane);
+    const std::uint64_t bit = lane_bit(lane);
+    if (((f0[c] | f1[c]) & bit) == 0) ++num_faults_;
+    if (stuck_value) {
+      f1[c] |= bit;
+      f0[c] &= ~bit;
+    } else {
+      f0[c] |= bit;
+      f1[c] &= ~bit;
+    }
+    inputs_dirty_ = true;
+  }
+  /// Remove every fault from every lane.
+  void clear_faults() {
+    for (const Force& f : forces_) force_slot_[f.net] = kNoForce;
+    forces_.clear();
+    force_masks_.clear();
+    forced_ops_.clear();
+    num_faults_ = 0;
+    plan_dirty_ = false;
+    inputs_dirty_ = true;
+  }
+  /// Total installed (net, lane) stuck-at entries.
+  [[nodiscard]] std::size_t num_faults() const { return num_faults_; }
+  /// Lanes [0, 64) of the stuck-at-0 / stuck-at-1 masks for a net (bit L
+  /// = lane L).
+  [[nodiscard]] std::uint64_t fault0_mask(netlist::NetId net) const {
+    return mask_word(net, 0);
+  }
+  [[nodiscard]] std::uint64_t fault1_mask(netlist::NetId net) const {
+    return mask_word(net, kChunks);
+  }
 
   // --- stimulus -------------------------------------------------------------
-  /// Drive lanes [0, 64) of a primary-input net with one word; any wider
+  /// Drive lanes [0, 64) of a source net with one word; any wider
   /// backend's remaining lanes are driven to 0 (historical 64-lane API).
   void set_net(netlist::NetId net, std::uint64_t lanes) {
-    if (net * kChunks >= values_.size()) {
-      throw std::out_of_range("set_net: bad net");
-    }
+    check_net(net);
     values_[net * kChunks] = lanes;
     for (std::size_t c = 1; c < kChunks; ++c) values_[net * kChunks + c] = 0;
     inputs_dirty_ = true;
   }
-  /// Drive all kLanes lanes of a primary-input net from kChunks words.
-  void set_net_chunks(netlist::NetId net, const std::uint64_t* chunks) {
-    if (net * kChunks >= values_.size()) {
-      throw std::out_of_range("set_net_chunks: bad net");
-    }
-    std::copy(chunks, chunks + kChunks, values_.begin() + net * kChunks);
+  /// Drive a source net — a primary input, or a net outside the evaluated
+  /// cone — to `value` in every lane.
+  void set_net_broadcast(netlist::NetId net, bool value) {
+    check_net(net);
+    std::fill_n(values_.begin() + net * kChunks, kChunks,
+                value ? ~std::uint64_t{0} : 0);
     inputs_dirty_ = true;
   }
-  /// Drive one lane of a primary-input net, leaving the others unchanged.
-  void set_net(netlist::NetId net, std::size_t lane, bool value) {
-    if (net * kChunks >= values_.size()) {
-      throw std::out_of_range("set_net: bad net");
-    }
-    if (lane >= kLanes) throw std::out_of_range("set_net: bad lane");
-    insert_lane(values_.data() + net * kChunks, lane, value);
+  /// Drive all kLanes lanes of a source net from kChunks words.
+  void set_net_chunks(netlist::NetId net, const std::uint64_t* chunks) {
+    check_net(net);
+    std::copy(chunks, chunks + kChunks, values_.begin() + net * kChunks);
     inputs_dirty_ = true;
   }
   /// Drive an input port: values[L] is lane L's port value (LSB first),
@@ -174,50 +248,44 @@ class BatchSimulatorT {
   }
   void set_port(const std::string& name, const std::uint64_t* values,
                 std::size_t count) {
-    const netlist::Port* port = module_->find_input(name);
-    if (port == nullptr) throw std::invalid_argument("no input port: " + name);
-    set_port(*port, values, count);
+    set_port(find_input(name), values, count);
   }
-  /// Drive the same value into every lane of an input port.
+  /// Drive the same value (LSB first) into every lane of an input port.
   void set_port_broadcast(const netlist::Port& port, std::uint64_t value) {
-    std::uint64_t word[kChunks];
     for (std::size_t i = 0; i < port.nets.size(); ++i) {
-      std::fill(word, word + kChunks,
-                ((value >> i) & 1u) != 0 ? ~std::uint64_t{0} : 0);
-      set_net_chunks(port.nets[i], word);
+      set_net_broadcast(port.nets[i], ((value >> i) & 1u) != 0);
     }
   }
   void set_port_broadcast(const std::string& name, std::uint64_t value) {
-    const netlist::Port* port = module_->find_input(name);
-    if (port == nullptr) throw std::invalid_argument("no input port: " + name);
-    set_port_broadcast(*port, value);
+    set_port_broadcast(find_input(name), value);
   }
 
   // --- evaluation -----------------------------------------------------------
-  /// Propagate combinational logic for all lanes (no clock edge).
+  /// Propagate combinational logic for all lanes (no clock edge), faults
+  /// applied.
   void propagate() {
+    if (plan_dirty_) plan_forces();
+    // Source nets (PIs, DFF Qs) keep their forced lanes across the sweep;
+    // forced cell outputs are re-forced right after their eval, exactly
+    // mirroring the scalar CycleSimulator force order.
     std::uint64_t* const v = values_.data();
-    const auto amask = L::load(active_mask_);
-    for (const SwarOp& op : ops_) {
-      const auto out = eval_cell_lanes_w<L>(op.type, L::load(v + op.a * kChunks),
-                                            L::load(v + op.b * kChunks),
-                                            L::load(v + op.s * kChunks));
-      std::uint64_t* const dst = v + op.out * kChunks;
-      const auto diff = L::band(L::bxor(out, L::load(dst)), amask);
-      toggles_[op.out] += L::popcount(diff);
-      L::store(dst, out);
+    for (std::size_t slot = 0; slot < forces_.size(); ++slot) {
+      if (forces_[slot].op == kNoOp) apply_force(slot, v);
     }
+    std::size_t begin = 0;
+    for (const auto& [op, slot] : forced_ops_) {
+      eval_ops(begin, op + 1);
+      apply_force(slot, v);
+      begin = op + 1;
+    }
+    eval_ops(begin, ops_.size());
     inputs_dirty_ = false;
-    // One lane word evaluated per cell per sweep; a single relaxed add
-    // per sweep keeps the hot loop untouched.
-    PML_OBS_COUNT("sim.batch.lane_words", ops_.size());
+    lane_words_ += ops_.size();
   }
-  /// Clock every DFF (capture D into Q, all lanes) and re-settle.  The
-  /// pre-clock combinational sweep is skipped when no input changed since
-  /// the last propagate — a levelized pass is a fixpoint, so re-running it
-  /// on unchanged inputs is an observably-identical no-op (zero toggles).
-  void step() {
-    if (inputs_dirty_) propagate();
+  /// Clock every evaluated DFF: capture D into Q, all lanes, without
+  /// re-settling.  Forced Q lanes are re-asserted by the next propagate
+  /// before anything reads them.
+  void clock() {
     // Two-phase clocking (sample all Ds, then update all Qs) so DFF chains
     // shift correctly regardless of cell order — same as CycleSimulator.
     std::uint64_t* const v = values_.data();
@@ -225,15 +293,19 @@ class BatchSimulatorT {
       L::store(dff_state_.data() + i * kChunks,
                L::load(v + dffs_[i].d * kChunks));
     }
-    const auto amask = L::load(active_mask_);
     for (std::size_t i = 0; i < dffs_.size(); ++i) {
-      std::uint64_t* const q = v + dffs_[i].q * kChunks;
-      const auto next = L::load(dff_state_.data() + i * kChunks);
-      const auto diff = L::band(L::bxor(next, L::load(q)), amask);
-      toggles_[dffs_[i].q] += L::popcount(diff);
-      L::store(q, next);
+      L::store(v + dffs_[i].q * kChunks,
+               L::load(dff_state_.data() + i * kChunks));
     }
     ++cycles_;
+    inputs_dirty_ = true;
+  }
+  /// Clock and re-settle.  The pre-clock sweep is skipped when nothing
+  /// changed since the last propagate: a levelized pass (faults included)
+  /// is a fixpoint, so re-running it is an observably-identical no-op.
+  void step() {
+    if (inputs_dirty_) propagate();
+    clock();
     propagate();
   }
 
@@ -246,9 +318,6 @@ class BatchSimulatorT {
   [[nodiscard]] std::uint64_t net_chunk(netlist::NetId net,
                                         std::size_t c) const {
     return values_[net * kChunks + c];
-  }
-  [[nodiscard]] bool net(netlist::NetId net, std::size_t lane) const {
-    return extract_lane(values_.data() + net * kChunks, lane);
   }
   /// Read a port in one lane as an unsigned integer (LSB first).
   [[nodiscard]] std::uint64_t port_unsigned(const netlist::Port& port,
@@ -275,26 +344,50 @@ class BatchSimulatorT {
                                          std::size_t lane) const {
     return port_signed(find_port(name), lane);
   }
-  /// Transpose a port across lanes: out[L] = port value in lane L for all
-  /// active lanes (out must hold active_lanes() entries).
-  void port_unsigned_all(const netlist::Port& port, std::uint64_t* out) const {
-    for (std::size_t lane = 0; lane < active_lanes_; ++lane) {
-      out[lane] = port_unsigned(port, lane);
-    }
-  }
 
-  /// Cumulative zero-delay toggles per net since construction/reset,
-  /// summed over active lanes (equals the sum of CycleSimulator toggle
-  /// counts over the lanes' sample histories).
-  [[nodiscard]] const std::vector<std::uint64_t>& toggles() const {
-    return toggles_;
-  }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
-
-  [[nodiscard]] const netlist::Module& module() const { return *module_; }
-  [[nodiscard]] const Levelization& levelization() const { return *lv_; }
+  /// Lane words evaluated (one per evaluated cell per propagate) since
+  /// the last call or rebind; each driver publishes them under its own
+  /// obs counter name.
+  [[nodiscard]] std::uint64_t take_lane_words() {
+    return std::exchange(lane_words_, 0);
+  }
 
  private:
+  static constexpr std::uint32_t kNoForce = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
+
+  /// One forced net; `op` is its driver's position in ops_, or kNoOp for a
+  /// source net (PI, DFF Q), which is forced at the start of each sweep.
+  struct Force {
+    netlist::NetId net;
+    std::uint32_t op;
+  };
+
+  [[nodiscard]] std::uint64_t* force0(std::size_t slot) {
+    return force_masks_.data() + slot * 2 * kChunks;
+  }
+  [[nodiscard]] std::uint64_t* force1(std::size_t slot) {
+    return force0(slot) + kChunks;
+  }
+  /// Chunk 0 of a net's stuck-at-0 (offset 0) or stuck-at-1 (offset
+  /// kChunks) mask.
+  [[nodiscard]] std::uint64_t mask_word(netlist::NetId net,
+                                        std::size_t offset) const {
+    const std::uint32_t slot = force_slot_[net];
+    return slot == kNoForce ? 0 : force_masks_[slot * 2 * kChunks + offset];
+  }
+
+  void check_net(netlist::NetId net) const {
+    if (net * kChunks >= values_.size()) {
+      throw std::out_of_range("set_net: bad net");
+    }
+  }
+  [[nodiscard]] const netlist::Port& find_input(const std::string& name) const {
+    const netlist::Port* port = module_->find_input(name);
+    if (port == nullptr) throw std::invalid_argument("no input port: " + name);
+    return *port;
+  }
   [[nodiscard]] const netlist::Port& find_port(const std::string& name) const {
     const netlist::Port* port = module_->find_output(name);
     if (port == nullptr) port = module_->find_input(name);
@@ -302,17 +395,55 @@ class BatchSimulatorT {
     return *port;
   }
 
+  /// Locate each forced net's driver in ops_, and list the forced ops in
+  /// sweep order.  Runs once per change of faults or cone.
+  void plan_forces() {
+    forced_ops_.clear();
+    for (Force& f : forces_) f.op = kNoOp;
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const std::uint32_t slot = force_slot_[ops_[i].out];
+      if (slot == kNoForce) continue;
+      forces_[slot].op = static_cast<std::uint32_t>(i);
+      forced_ops_.emplace_back(static_cast<std::uint32_t>(i), slot);
+    }
+    plan_dirty_ = false;
+  }
+
+  void apply_force(std::size_t slot, std::uint64_t* v) {
+    std::uint64_t* const w = v + forces_[slot].net * kChunks;
+    L::store(w, L::bor(L::andnot(L::load(w), L::load(force0(slot))),
+                       L::load(force1(slot))));
+  }
+
+  /// Plain SWAR sweep over ops_[begin, end).
+  void eval_ops(std::size_t begin, std::size_t end) {
+    std::uint64_t* const v = values_.data();
+    for (std::size_t i = begin; i < end; ++i) {
+      const SwarOp& op = ops_[i];
+      L::store(v + op.out * kChunks,
+               eval_cell_lanes_w<L>(op.type, L::load(v + op.a * kChunks),
+                                    L::load(v + op.b * kChunks),
+                                    L::load(v + op.s * kChunks)));
+    }
+  }
+
   const netlist::Module* module_ = nullptr;
-  std::shared_ptr<const Levelization> lv_;
-  std::vector<SwarOp> ops_;  ///< levelized cells, pins flattened
-  std::vector<SwarDffOp> dffs_;
-  std::vector<std::uint64_t> values_;     ///< kChunks words per net
-  std::vector<std::uint64_t> dff_state_;  ///< captured D, per DFF
-  std::vector<std::uint64_t> toggles_;
-  std::uint64_t active_mask_[kChunks] = {};
-  std::size_t active_lanes_ = kLanes;
+  std::vector<SwarOp> ops_;  ///< evaluated cells, levelized, pins flattened
+  std::vector<SwarDffOp> dffs_;            ///< clocked DFFs
+  std::vector<std::uint64_t> values_;      ///< kChunks words per net
+  std::vector<std::uint64_t> dff_state_;   ///< captured D, per DFF
+  std::vector<std::uint32_t> force_slot_;  ///< per net: forces_ index
+  std::vector<Force> forces_;              ///< one per forced net
+  /// Per force: kChunks stuck-at-0 mask words, then kChunks stuck-at-1.
+  std::vector<std::uint64_t> force_masks_;
+  /// (position in ops_, forces_ index) of every forced cell output,
+  /// ascending in position.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> forced_ops_;
+  std::size_t num_faults_ = 0;
   std::uint64_t cycles_ = 0;
-  bool inputs_dirty_ = false;  ///< true if set_net/set_port since propagate
+  std::uint64_t lane_words_ = 0;
+  bool plan_dirty_ = false;    ///< faults or cone changed since plan_forces
+  bool inputs_dirty_ = false;  ///< stimulus, faults or state changed
 };
 
 /// The 64-lane scalar instantiation: the always-built reference backend

@@ -4,8 +4,8 @@
 // independent samples in a handful of machine ops.  The eval is templated
 // on a LaneWord trait (sim/lanes.hpp): LaneU64 is the 64-lane scalar
 // reference, LaneAvx2/LaneAvx512 widen the same code to 256/512 lanes in
-// per-flag TUs.  Shared by the zero-delay BatchSimulator, the stuck-at
-// BatchFaultSimulator, and the delay-accurate BatchEventSimulator so all
+// per-flag TUs.  Shared by the zero-delay BatchSimulator (samples or
+// stuck-at variants) and the delay-accurate BatchEventSimulator so both
 // engines agree with netlist::eval_cell lane for lane by construction —
 // along with the flattened Op-list layout and port read helpers they have
 // in common.
@@ -95,9 +95,9 @@ struct SwarDffOp {
                 c.out};
 }
 
-/// Combinational cells in levelized evaluation order (BatchSimulator,
-/// BatchFaultSimulator).  The `_into` form overwrites a reused vector so
-/// pooled simulators (rebind()) flatten without allocating once warm.
+/// Combinational cells in levelized evaluation order (BatchSimulator).
+/// Overwrites a reused vector so pooled simulators (rebind()) flatten
+/// without allocating once warm.
 inline void swar_comb_ops_into(std::vector<SwarOp>& ops,
                                const netlist::Module& module,
                                const Levelization& lv) {
@@ -106,13 +106,6 @@ inline void swar_comb_ops_into(std::vector<SwarOp>& ops,
   for (const std::uint32_t idx : lv.comb_order) {
     ops.push_back(flatten_cell(module.cells()[idx]));
   }
-}
-
-[[nodiscard]] inline std::vector<SwarOp> swar_comb_ops(
-    const netlist::Module& module, const Levelization& lv) {
-  std::vector<SwarOp> ops;
-  swar_comb_ops_into(ops, module, lv);
-  return ops;
 }
 
 [[nodiscard]] inline SwarDffOp flatten_dff(const netlist::Cell& c) {
@@ -127,13 +120,6 @@ inline void swar_dff_ops_into(std::vector<SwarDffOp>& dffs,
   for (const std::uint32_t idx : lv.dffs) {
     dffs.push_back(flatten_dff(module.cells()[idx]));
   }
-}
-
-[[nodiscard]] inline std::vector<SwarDffOp> swar_dff_ops(
-    const netlist::Module& module, const Levelization& lv) {
-  std::vector<SwarDffOp> dffs;
-  swar_dff_ops_into(dffs, module, lv);
-  return dffs;
 }
 
 /// Two's complement reading of a `bits`-wide raw port value.

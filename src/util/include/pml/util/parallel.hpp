@@ -1,12 +1,15 @@
 #pragma once
-// Shared worker-fan-out runner for the batched drivers (verify_workload,
-// collect_activity, run_fault_campaign, search_min_precision).
+// Shared worker-fan-out runner for the three batch loops
+// (src/core/src/backends/batch_loops.hpp: verify_workload,
+// collect_activity, run_fault_campaign).
 //
-// All of them share one shape: an atomic claim counter hands out work
-// indices, each worker owns per-slot state (usually a pooled simulator)
-// and loops claiming until the queue is exhausted, and a worker that
-// throws must stop its siblings and surface the first exception to the
-// caller.  This header is that shape, written once.
+// All of them share one shape: an atomic claim counter hands out batches,
+// each worker owns per-slot state (usually a pooled simulator) and loops
+// claiming until the queue is exhausted, and a worker that throws must
+// stop its siblings — the drain below — and surface the first exception
+// to the caller.  This header is that shape, written once.  A fan-out
+// with one work item per slot needs no claim queue and calls
+// TaskPool::run_group directly (quant::search_min_precision).
 //
 // Since the TaskPool landed, run_workers is a thin shim over the shared
 // process-wide pool (util::TaskPool) instead of spawning a fresh set of

@@ -150,13 +150,15 @@ TEST(ObsMetrics, FixedWorkloadCounterDeltasAreDeterministic) {
   EXPECT_GT(first.counter_value("opt.pass.applications"), 0u);
 
   // Work-item counters are independent of scheduling, thread interleaving
-  // and wall time: identical workload, identical deltas.
-  ASSERT_EQ(first.counters.size(), second.counters.size());
-  for (std::size_t i = 0; i < first.counters.size(); ++i) {
-    EXPECT_EQ(first.counters[i].first, second.counters[i].first);
-    EXPECT_EQ(first.counters[i].second, second.counters[i].second)
-        << "counter " << first.counters[i].first
-        << " is not deterministic for a fixed workload";
+  // and wall time: identical workload, identical deltas.  The two pool
+  // scheduling-event counters are the documented exception: a steal or an
+  // idle worker's park depends on timing and can land after the snapshot
+  // of the window that caused it.  The registry only grows, so the later
+  // snapshot names every counter.
+  for (const auto& [name, value] : second.counters) {
+    if (name == "pool.steals" || name == "pool.parked") continue;
+    EXPECT_EQ(first.counter_value(name), value)
+        << "counter " << name << " is not deterministic for a fixed workload";
   }
 }
 

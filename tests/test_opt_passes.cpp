@@ -80,8 +80,6 @@ void expect_equivalent(const Module& a, const Module& b, std::size_t samples,
   const int steps = std::max(cycles, 1);
   for (std::size_t begin = 0; begin < samples; begin += kLanes) {
     const std::size_t count = std::min(kLanes, samples - begin);
-    sim_a.set_active_lanes(count);
-    sim_b.set_active_lanes(count);
     for (int cyc = 0; cyc < steps; ++cyc) {
       for (std::size_t p = 0; p < a.input_ports().size(); ++p) {
         const std::size_t width = a.input_ports()[p].nets.size();

@@ -307,7 +307,7 @@ TEST(SimBackend, EvalCellLanesRejectsSequentialCells) {
 // --- bit-exact equivalence vs the u64 reference ------------------------------
 
 /// Probe `module` under u64 and under `wide`, and require exact equality
-/// of every per-sample class value and every per-net toggle total (the
+/// of every per-sample class value and every per-net count (the
 /// reset-per-batch protocol makes both width-invariant by construction —
 /// see core/backend_probe.hpp).
 void expect_probe_equal(const netlist::Module& module, int cycles,
@@ -324,8 +324,8 @@ void expect_probe_equal(const netlist::Module& module, int cycles,
     ASSERT_EQ(got.class_values[i], ref.class_values[i])
         << sim::backend_name(wide) << " diverges on sample " << i;
   }
-  EXPECT_EQ(got.net_toggles, ref.net_toggles)
-      << sim::backend_name(wide) << " toggle totals diverge";
+  EXPECT_EQ(got.net_ones, ref.net_ones)
+      << sim::backend_name(wide) << " per-net counts diverge";
 }
 
 TEST(SimBackendEquivalence, ProbeMatchesU64OnEveryArchitecture) {

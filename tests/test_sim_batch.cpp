@@ -1,11 +1,13 @@
 // BatchSimulator: randomized lane-by-lane bit-identity against the scalar
 // CycleSimulator on every generated architecture (sequential SVM, parallel
 // SVM, MLP), ragged final batches, back-to-back free-running inference,
-// per-lane toggle accounting, and the threaded verify_workload driver.
+// rebinding a simulator that ran a fault batch, and the threaded
+// verify_workload driver.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,7 +133,6 @@ void expect_lanewise_equal(const Module& m, int cycles,
   std::uint64_t lane_values[kLanes];
   for (std::size_t begin = 0; begin < xs.size(); begin += kLanes) {
     const std::size_t count = std::min(kLanes, xs.size() - begin);
-    batch.set_active_lanes(count);
     for (std::size_t j = 0; j < features; ++j) {
       for (std::size_t lane = 0; lane < count; ++lane) {
         lane_values[lane] =
@@ -220,55 +221,74 @@ TEST(BatchSim, BackToBackFreeRunningMatchesSoftwareModel) {
             3u * static_cast<std::uint64_t>(circuit.cycles_per_inference));
 }
 
-// --- toggle accounting -------------------------------------------------------
+// --- one engine, two roles ---------------------------------------------------
 
-TEST(BatchSim, SingleActiveLaneTogglesMatchScalarExactly) {
-  const QuantizedSvm q = random_svm(3, 3, 3, 4, 41);
+TEST(BatchSim, RebindAfterFaultBatchMatchesFreshSimulator) {
+  // A pooled simulator can serve a fault campaign and then verification:
+  // rebind() must drop the faults, the force plan and the cone that a
+  // fault batch left behind.
+  const QuantizedSvm q = random_svm(4, 4, 3, 4, 53);
   const auto circuit = arch::build_sequential_svm(q);
-  const auto lv = levelize_shared(circuit.module);
-  CycleSimulator scalar(circuit.module, lv);
-  BatchSimulator batch(circuit.module, lv);
-  batch.set_active_lanes(1);
-  const auto xs = random_samples(5, 3, q.input_format.max_code(), 17);
-  for (const auto& x : xs) {
+  const Module& m = circuit.module;
+  const auto lv = levelize_shared(m);
+  const netlist::Port* cls = m.find_output("class");
+  ASSERT_NE(cls, nullptr);
+
+  BatchSimulator reused(m, lv);
+  const std::span<const std::uint32_t> comb(lv->comb_order);
+  const std::span<const std::uint32_t> dffs(lv->dffs);
+  ASSERT_GT(comb.size(), 2u);
+  ASSERT_GT(dffs.size(), 2u);
+  // A prefix of the levelized cells as the cone: a stale force plan would
+  // then re-force a cell output right after its own driver, where no
+  // later evaluation overwrites it.
+  const std::size_t half = comb.size() / 2;
+  reused.restrict_to(comb.first(half), dffs.first(dffs.size() / 2));
+  for (std::size_t lane = 1; lane < kLanes; ++lane) {
+    reused.set_fault(cls->nets[lane % cls->nets.size()], lane, lane % 2 != 0);
+    reused.set_fault(m.cells()[comb[half - 1 - lane % 8]].out, lane,
+                     lane % 3 == 0);
+  }
+  reused.power_on();
+  const auto warm = random_samples(2, 4, q.input_format.max_code(), 3);
+  for (const auto& x : warm) {
     for (std::size_t j = 0; j < x.size(); ++j) {
-      const auto code = static_cast<std::uint64_t>(x[j]);
-      scalar.set_port("x" + std::to_string(j), code);
-      batch.set_port("x" + std::to_string(j), &code, 1);
+      reused.set_port_broadcast("x" + std::to_string(j),
+                                static_cast<std::uint64_t>(x[j]));
+    }
+    for (int c = 0; c < circuit.cycles_per_inference; ++c) reused.step();
+  }
+
+  reused.rebind(m, lv);
+  EXPECT_EQ(reused.num_faults(), 0u);
+  BatchSimulator fresh(m, lv);
+  const auto xs = random_samples(3 * kLanes - 9, 4, q.input_format.max_code(),
+                                 61);
+  std::uint64_t lane_values[kLanes];
+  for (std::size_t begin = 0; begin < xs.size(); begin += kLanes) {
+    const std::size_t count = std::min(kLanes, xs.size() - begin);
+    for (std::size_t j = 0; j < 4; ++j) {
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        lane_values[lane] = static_cast<std::uint64_t>(xs[begin + lane][j]);
+      }
+      reused.set_port("x" + std::to_string(j), lane_values, count);
+      fresh.set_port("x" + std::to_string(j), lane_values, count);
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) {
-      scalar.step();
-      batch.step();
+      reused.step();
+      fresh.step();
+      for (netlist::NetId net = 0; net < m.num_nets(); ++net) {
+        ASSERT_EQ(reused.net_lanes(net), fresh.net_lanes(net))
+            << "net " << net << " diverges in batch " << begin / kLanes
+            << ", cycle " << c;
+      }
+    }
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      EXPECT_EQ(static_cast<int>(reused.port_unsigned(*cls, lane)),
+                q.predict_codes(xs[begin + lane]))
+          << "sample " << begin + lane;
     }
   }
-  // With one active lane the masked popcounts must reproduce the scalar
-  // functional toggle counts net for net.
-  EXPECT_EQ(batch.toggles(), scalar.toggles());
-}
-
-TEST(BatchSim, InactiveLanesDoNotPolluteToggles) {
-  const QuantizedSvm q = random_svm(3, 3, 3, 4, 43);
-  const auto circuit = arch::build_sequential_svm(q);
-  BatchSimulator one(circuit.module);
-  BatchSimulator noisy(circuit.module);
-  one.set_active_lanes(1);
-  noisy.set_active_lanes(1);
-  const auto xs = random_samples(kLanes, 3, q.input_format.max_code(), 5);
-  std::uint64_t lane_values[kLanes];
-  for (std::size_t j = 0; j < 3; ++j) {
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      lane_values[lane] = static_cast<std::uint64_t>(xs[lane][j]);
-    }
-    // `one` sees only lane 0's sample; `noisy` additionally carries 63
-    // churning inactive lanes.
-    one.set_port("x" + std::to_string(j), lane_values, 1);
-    noisy.set_port("x" + std::to_string(j), lane_values, kLanes);
-  }
-  for (int c = 0; c < circuit.cycles_per_inference; ++c) {
-    one.step();
-    noisy.step();
-  }
-  EXPECT_EQ(one.toggles(), noisy.toggles());
 }
 
 // --- API edges ---------------------------------------------------------------
@@ -304,8 +324,6 @@ TEST(BatchSim, BoundsChecks) {
   Module m;
   (void)m.add_input_port("p", 1);
   BatchSimulator sim(m);
-  EXPECT_THROW(sim.set_active_lanes(0), std::out_of_range);
-  EXPECT_THROW(sim.set_active_lanes(65), std::out_of_range);
   EXPECT_THROW(sim.set_port("nope", nullptr, 0), std::invalid_argument);
   EXPECT_THROW((void)sim.port_unsigned("nope", 0), std::invalid_argument);
   EXPECT_THROW((void)sim.port_unsigned("p", kLanes), std::out_of_range);

@@ -1,6 +1,7 @@
-// BatchFaultSimulator: randomized lane-by-lane bit-identity against the
-// scalar CycleSimulator + force_net oracle on generated sequential-SVM and
-// parallel-SVM circuits and on random netlists; the reserved fault-free
+// BatchSimulator with stuck-at faults: randomized lane-by-lane
+// bit-identity against the scalar CycleSimulator + force_net oracle on
+// generated sequential-SVM and parallel-SVM circuits and on random
+// netlists; the reserved fault-free
 // lane-0 invariant; and the core::run_fault_campaign driver — ragged
 // (<63 variant) batches, exact agreement with a per-variant scalar replay,
 // thread-count invariance, the accuracy-vs-fault-count curve helper, and
@@ -21,7 +22,7 @@
 #include "pml/core/fault_campaign.hpp"
 #include "pml/obs/metrics.hpp"
 #include "pml/sim/backend.hpp"
-#include "pml/sim/batch_fault_sim.hpp"
+#include "pml/sim/batch_sim.hpp"
 #include "pml/sim/cycle_sim.hpp"
 
 namespace pml::sim {
@@ -33,7 +34,7 @@ using netlist::NetId;
 using quant::QuantizedClassifier;
 using quant::QuantizedSvm;
 
-constexpr std::size_t kLanes = BatchFaultSimulator::kLanes;
+constexpr std::size_t kLanes = BatchSimulator::kLanes;
 
 // --- deterministic generators (same style as test_sim_batch.cpp) ------------
 
@@ -129,7 +130,7 @@ void expect_fault_lanewise_equal(
     const std::vector<std::vector<std::uint64_t>>& samples,
     const std::vector<std::vector<std::pair<NetId, bool>>>& lane_faults) {
   const auto lv = levelize_shared(m);
-  BatchFaultSimulator batch(m, lv);
+  BatchSimulator batch(m, lv);
   std::vector<CycleSimulator> scalars;
   scalars.reserve(lane_faults.size());
   for (std::size_t lane = 0; lane < lane_faults.size(); ++lane) {
@@ -144,7 +145,7 @@ void expect_fault_lanewise_equal(
   batch.reset();
   for (std::size_t i = 0; i < samples.size(); ++i) {
     for (std::size_t j = 0; j < in_ports.size(); ++j) {
-      batch.set_port(in_ports[j], samples[i][j]);
+      batch.set_port_broadcast(in_ports[j], samples[i][j]);
       for (auto& scalar : scalars) scalar.set_port(in_ports[j], samples[i][j]);
     }
     if (cycles == 0) {
@@ -244,7 +245,7 @@ TEST(BatchFaultSim, LaneZeroStaysGoldenUnderHeavyFaults) {
   const QuantizedSvm q = random_svm(4, 4, 3, 4, 3);
   const auto circuit = arch::build_sequential_svm(q);
   const auto lv = levelize_shared(circuit.module);
-  BatchFaultSimulator batch(circuit.module, lv);
+  BatchSimulator batch(circuit.module, lv);
   CycleSimulator golden(circuit.module, lv);
   // Saturate every other lane with faults; lane 0 must not notice.
   std::uint64_t s = 41;
@@ -260,7 +261,7 @@ TEST(BatchFaultSim, LaneZeroStaysGoldenUnderHeavyFaults) {
   const auto xs = svm_samples(6, 4, q.input_format.max_code(), 13);
   for (const auto& x : xs) {
     for (std::size_t j = 0; j < x.size(); ++j) {
-      batch.set_port("x" + std::to_string(j), x[j]);
+      batch.set_port_broadcast("x" + std::to_string(j), x[j]);
       golden.set_port("x" + std::to_string(j), x[j]);
     }
     for (int c = 0; c < circuit.cycles_per_inference; ++c) {
@@ -273,7 +274,7 @@ TEST(BatchFaultSim, LaneZeroStaysGoldenUnderHeavyFaults) {
 
 TEST(BatchFaultSim, RejectsLaneZeroFaults) {
   const Module m = random_module(1, 4, 20, 0);
-  BatchFaultSimulator sim(m);
+  BatchSimulator sim(m);
   EXPECT_THROW(sim.set_fault(m.cells()[0].out, 0, true),
                std::invalid_argument);
 }
@@ -282,7 +283,7 @@ TEST(BatchFaultSim, RejectsLaneZeroFaults) {
 
 TEST(BatchFaultSim, FaultBookkeepingAndBounds) {
   const Module m = random_module(2, 4, 20, 2);
-  BatchFaultSimulator sim(m);
+  BatchSimulator sim(m);
   const NetId out = m.cells()[0].out;
   EXPECT_EQ(sim.num_faults(), 0u);
   sim.set_fault(out, 1, true);
@@ -306,7 +307,7 @@ TEST(BatchFaultSim, FaultBookkeepingAndBounds) {
                std::invalid_argument);
   EXPECT_THROW(sim.set_fault(static_cast<NetId>(m.num_nets()), 1, true),
                std::out_of_range);
-  EXPECT_THROW(BatchFaultSimulator(m, nullptr), std::invalid_argument);
+  EXPECT_THROW(BatchSimulator(m, nullptr), std::invalid_argument);
 }
 
 TEST(BatchFaultSim, ClearFaultsTakesEffectWithoutReset) {
@@ -317,8 +318,8 @@ TEST(BatchFaultSim, ClearFaultsTakesEffectWithoutReset) {
   const NetId a = m.add_input_port("x", 1)[0];
   const NetId y = m.add_gate_raw(CellType::kBuf, a);
   m.add_output_port("y", {y});
-  BatchFaultSimulator sim(m);
-  sim.set_net(a, true);
+  BatchSimulator sim(m);
+  sim.set_net_broadcast(a, true);
   sim.set_fault(y, 1, false);
   sim.propagate();
   EXPECT_EQ(sim.port_unsigned("y", 0), 1u);
