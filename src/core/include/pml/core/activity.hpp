@@ -14,7 +14,16 @@
 // batches of kLanes chunks (64 on the u64 reference backend, wider under
 // AVX) are sharded across the shared util::TaskPool (each worker owns one
 // simulator; all workers share one Levelization — the same pattern as
-// core::verify_workload).  Each lane warms up on its chunk's
+// core::verify_workload).  A batch's replay is rounds x (1 + C)
+// propagation windows for C clock cycles per inference (one per round
+// when combinational).  With fewer batches than workers, each batch's
+// windows are cut into ceil(workers / batches) contiguous ranges (at most
+// one per window) and the workers claim (batch, range) units: a range
+// reaches its first window in zero delay, uncounted
+// (BatchEventSimulatorT::run_windows), and counts only its own windows.
+// The counts are integer sums, so the merged stats equal the unsplit
+// replay's for every module, its state reloaded each inference or not.
+// With at least as many batches as workers each batch is one unit.  Each lane warms up on its chunk's
 // *predecessor* sample (sample 0 for the first chunk) in zero delay,
 // uncounted (BatchEventSimulatorT::warm_up), then replays its chunk round
 // by round, counting.  The warm-up lands where the serial stream's
@@ -55,11 +64,12 @@ namespace pml::core {
 
 struct ActivityOptions {
   /// Worker threads; 0 = the shared util::TaskPool's width (its
-  /// PML_POOL_THREADS override, else max(2, hardware threads)).  Clamped
-  /// to the batch count, so a replay that fits one batch word runs on the
-  /// calling thread.  It sets the chunk length, so the counts are
-  /// independent of it only under the precondition in the header comment
-  /// (state reloaded every inference).
+  /// PML_POOL_THREADS override, else max(2, hardware threads)).  Fewer
+  /// batches than threads split each batch's windows into ranges, so even
+  /// a replay that fits one batch word fans out (up to one thread per
+  /// window); 1 runs every batch whole on the calling thread.  It sets the
+  /// chunk length, so the counts are independent of it only under the
+  /// precondition in the header comment (state reloaded every inference).
   std::size_t num_threads = 0;
   /// Event-simulator tick (ms); must match the scalar reference for
   /// bit-exact equivalence.

@@ -18,6 +18,7 @@
 #include "pml/core/evaluate.hpp"
 #include "pml/core/hardware_report.hpp"
 #include "pml/ml/dataset.hpp"
+#include "pml/ml/multiclass.hpp"
 #include "pml/quant/mlp_quant.hpp"
 #include "pml/quant/svm_quant.hpp"
 
@@ -39,11 +40,24 @@ struct ParallelSvmBaseline {
   HardwareReport hw;
 };
 
+/// The OvO model the baseline trains on `train`: options.C and
+/// options.seed, no class balancing.
+[[nodiscard]] ml::MulticlassSvm train_parallel_svm_model(
+    const ml::Dataset& train, const ParallelSvmBaselineOptions& options);
+
 /// Train OvO on `train`, quantize, (optionally) approximate, build the
 /// parallel circuit, verify bit-exact, and measure.
 [[nodiscard]] ParallelSvmBaseline build_parallel_svm_baseline(
     const ml::Dataset& train, const ml::Dataset& test,
     const cells::CellLibrary& lib, const ParallelSvmBaselineOptions& options);
+
+/// As above from `model`, trained on `train` by train_parallel_svm_model.
+/// SVM [2] and SVM [3] differ only after training (same data, C and
+/// seed), so run_table1 trains one model for both.
+[[nodiscard]] ParallelSvmBaseline build_parallel_svm_baseline(
+    const ml::MulticlassSvm& model, const ml::Dataset& train,
+    const ml::Dataset& test, const cells::CellLibrary& lib,
+    const ParallelSvmBaselineOptions& options);
 
 struct MlpBaselineOptions {
   int hidden = 4;

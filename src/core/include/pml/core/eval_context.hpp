@@ -4,9 +4,13 @@
 //
 // One EvalContext owns every piece of reusable storage an evaluation
 // needs — the shared Levelization and its arena-backed working arrays,
-// one BatchSimulator + BatchEventSimulator + ActivityStats partial per
-// worker slot, the optimizer's module copy, and the timing/activity/power
-// result records.  evaluate_circuit_into threads it through
+// one BatchSimulator + ActivityStats partial per worker slot, the
+// optimizer's module copy, and the timing/activity/power result records —
+// except the delay-accurate event simulators.  The power replay and the
+// cost probes split their windows over every pool thread, so they rebind
+// a simulator per thread (sim::thread_simulator), not per slot of each
+// context: concurrent evaluations then hold one per pool thread between
+// them.  evaluate_circuit_into threads it through
 // verify_workload and collect_activity (via VerifyOptions::context /
 // ActivityOptions::context), so after the first evaluation warms the
 // capacities up, steady-state evaluations of same-shaped modules perform
@@ -34,7 +38,6 @@
 #include "pml/netlist/module.hpp"
 #include "pml/power/power.hpp"
 #include "pml/sim/backend.hpp"
-#include "pml/sim/batch_event_sim.hpp"
 #include "pml/sim/batch_sim.hpp"
 #include "pml/sim/event_sim.hpp"
 #include "pml/sim/levelize.hpp"
@@ -45,25 +48,20 @@ namespace pml::core {
 
 class EvalContext {
  public:
-  /// Per-worker-slot simulators and activity partial.  Slots live in a
-  /// deque so growing the pool never moves (or copies) a simulator that
-  /// an earlier evaluation warmed up.
+  /// Per-worker-slot verification simulator and activity partial.  Slots
+  /// live in a deque so growing the pool never moves (or copies) a
+  /// simulator that an earlier evaluation warmed up.
   struct WorkerScratch {
-    sim::BatchSimulator batch;       ///< verification engine (u64 backend)
-    sim::BatchEventSimulator event;  ///< power/glitch replay engine (u64)
-    sim::ActivityStats activity;     ///< this slot's partial counts
-    /// Wide-backend pooling: when an evaluation runs on an AVX backend,
-    /// its BatchSimulatorT<LaneAvx*> / BatchEventSimulatorT<LaneAvx*>
-    /// live here type-erased (only the per-flag backend TUs may name the
-    /// concrete types), each tagged with the backend that created it so
-    /// a backend switch drops only that engine's stale simulator (verify
-    /// and activity can resolve to different backends).  The u64 members
-    /// above stay dedicated — the zero-allocation contract is proven on
-    /// them.
+    sim::BatchSimulator batch;    ///< verification engine (u64 backend)
+    sim::ActivityStats activity;  ///< this slot's partial counts
+    /// Wide-backend pooling: when verification runs on an AVX backend,
+    /// its BatchSimulatorT<LaneAvx*> lives here type-erased (only the
+    /// per-flag backend TUs may name the concrete types), tagged with the
+    /// backend that created it so a backend switch drops it.  The u64
+    /// member above stays dedicated — the zero-allocation contract is
+    /// proven on it.
     std::shared_ptr<void> lane_batch;
     sim::Backend lane_batch_backend = sim::Backend::kU64;
-    std::shared_ptr<void> lane_event;
-    sim::Backend lane_event_backend = sim::Backend::kU64;
   };
 
   EvalContext() = default;

@@ -71,10 +71,10 @@ struct EvaluateOptions {
   /// are bit-identical across backends — only throughput changes (for
   /// activity, under the state-reload precondition in core/activity.hpp).
   /// The cost-model probes ignore it and always replay on u64: a probe
-  /// fills at most one 64-lane word, and its cost barely depends on the
-  /// lane count (6 → 64 lanes: 6.8 → 8.5 ms per probe of a 3574-cell
-  /// sequential SVM on an AVX-512 host), so a wider word would only add
-  /// idle lanes.
+  /// fills at most one 64-lane word, so a wider word would only add idle
+  /// lanes.  A probe gets its parallelism from its windows instead, split
+  /// over the TaskPool on this evaluation's pooled activity simulators
+  /// (see opt/cost_model.hpp).
   sim::Backend backend = sim::Backend::kAuto;
   /// Optional cooperative cancellation: checked at every phase boundary
   /// (optimize -> levelize -> verify -> sta -> activity -> power) and

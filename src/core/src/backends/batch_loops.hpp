@@ -57,42 +57,23 @@ inline constexpr sim::Backend kBackendOf<sim::LaneAvx512> =
     sim::Backend::kAvx512;
 #endif
 
-/// Pooled simulators.  The u64 loops keep using the dedicated
-/// WorkerScratch::batch / ::event members (the slots the zero-allocation
+/// Pooled verification simulators.  The u64 loop keeps using the
+/// dedicated WorkerScratch::batch member (the slot the zero-allocation
 /// contract is proven on); wide backends pool through the type-erased
-/// lane_batch / lane_event slots, each tagged with its backend so a
-/// context that switches one engine's backend between evaluations drops
-/// only that engine's stale simulator (verify and activity may resolve to
-/// different backends in one evaluation).
-template <class Sim, class L>
-[[nodiscard]] inline Sim& pooled_lane(std::shared_ptr<void>& slot,
-                                      sim::Backend& tag) {
-  if (tag != kBackendOf<L> || slot == nullptr) {
-    slot = std::make_shared<Sim>();
-    tag = kBackendOf<L>;
-  }
-  return *static_cast<Sim*>(slot.get());
-}
-
+/// lane_batch slot, tagged with its backend so a context that switches
+/// backends between evaluations drops the stale simulator.  (The event
+/// simulators of the activity loop are per thread: sim::thread_simulator.)
 template <class L>
 [[nodiscard]] inline sim::BatchSimulatorT<L>& pooled_batch(
     EvalContext::WorkerScratch& ws) {
   if constexpr (std::is_same_v<L, sim::LaneU64>) {
     return ws.batch;
   } else {
-    return pooled_lane<sim::BatchSimulatorT<L>, L>(ws.lane_batch,
-                                                   ws.lane_batch_backend);
-  }
-}
-
-template <class L>
-[[nodiscard]] inline sim::BatchEventSimulatorT<L>& pooled_event(
-    EvalContext::WorkerScratch& ws) {
-  if constexpr (std::is_same_v<L, sim::LaneU64>) {
-    return ws.event;
-  } else {
-    return pooled_lane<sim::BatchEventSimulatorT<L>, L>(ws.lane_event,
-                                                        ws.lane_event_backend);
+    if (ws.lane_batch_backend != kBackendOf<L> || ws.lane_batch == nullptr) {
+      ws.lane_batch = std::make_shared<sim::BatchSimulatorT<L>>();
+      ws.lane_batch_backend = kBackendOf<L>;
+    }
+    return *static_cast<sim::BatchSimulatorT<L>*>(ws.lane_batch.get());
   }
 }
 
@@ -189,10 +170,25 @@ void run_verify_loop(const VerifyJob& job, VerifyResult& result) {
 
 // --- activity ---------------------------------------------------------------
 
-/// One worker's claim: replay batch `b` (chunks [b*kLanes, ...)) through
-/// its own BatchEventSimulator and merge the counts into `local`.
+/// Propagation windows per replay round: the input settle plus one per
+/// clock edge (a sequential circuit clocked 0 times runs none).
+[[nodiscard]] inline std::size_t windows_per_round(bool sequential,
+                                                   int cycles_per_inference) {
+  if (!sequential) return 1;
+  return cycles_per_inference > 0
+             ? static_cast<std::size_t>(cycles_per_inference) + 1
+             : 0;
+}
+
+/// One worker's claim: windows [first, last) of batch `batch`'s replay
+/// (chunks [b*kLanes, ...); round r's windows are [r*W, (r+1)*W) with W =
+/// windows_per_round) through its own BatchEventSimulator, counts merged
+/// into `local`.  Windows before `first` are reached in zero delay and
+/// uncounted, so the ranges of one batch count together what the whole
+/// batch counts.
 template <class L>
 void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
+                        std::size_t first, std::size_t last,
                         std::size_t num_chunks, std::size_t chunk_samples,
                         std::size_t num_samples, bool sequential,
                         int cycles_per_inference,
@@ -202,6 +198,8 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
   constexpr std::size_t kLanes = L::kWidth;
   const std::size_t chunk_begin = batch * kLanes;
   const std::size_t lanes = std::min(kLanes, num_chunks - chunk_begin);
+  const std::size_t per_round =
+      windows_per_round(sequential, cycles_per_inference);
   std::uint64_t lane_values[kLanes];
   std::uint64_t mask[L::kChunks];
 
@@ -241,20 +239,22 @@ void run_activity_batch(sim::BatchEventSimulatorT<L>& bsim, std::size_t batch,
   stage(warm_sample);
   bsim.warm_up(sequential ? cycles_per_inference : 0);
 
-  // Replay rounds; chunk 0 of the batch is always the longest.
+  // Replay rounds up to the one holding window `last - 1`; chunk 0 of the
+  // batch is always the longest.  Rounds wholly before `first` only
+  // catch up.
   const std::size_t rounds = lane_len(0);
-  for (std::size_t r = 0; r < rounds; ++r) {
+  const auto in_round = [&](std::size_t w, std::size_t base) {
+    return static_cast<int>(std::min(w - std::min(w, base), per_round));
+  };
+  for (std::size_t r = 0; r < rounds && r * per_round < last; ++r) {
     std::fill(mask, mask + L::kChunks, 0);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       if (r < lane_len(lane)) mask[sim::lane_chunk(lane)] |= sim::lane_bit(lane);
     }
     bsim.set_count_mask_chunks(mask);
     stage([&](std::size_t lane) { return sample_at(lane, r); });
-    if (sequential) {
-      for (int c = 0; c < cycles_per_inference; ++c) bsim.step();
-    } else {
-      bsim.settle();
-    }
+    const std::size_t base = r * per_round;
+    bsim.run_windows(in_round(first, base), in_round(last, base));
   }
   local.accumulate(bsim.activity());
 }
@@ -267,12 +267,27 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
   const std::size_t chunk = job.chunk_samples;
   const std::size_t num_chunks = (n + chunk - 1) / chunk;
   const std::size_t num_batches = (num_chunks + kLanes - 1) / kLanes;
-  const std::size_t num_threads = clamp_threads(job.num_threads, num_batches);
+  // Fewer batches than workers: split each batch's windows into ranges
+  // (batch 0 has the most, rounds x windows_per_round) so the workers
+  // share them.  With at least as many batches as workers each batch is
+  // one range.
+  const std::size_t per_round =
+      windows_per_round(job.sequential, job.cycles_per_inference);
+  const auto batch_windows = [&](std::size_t b) {
+    return std::min(chunk, n - b * kLanes * chunk) * per_round;
+  };
+  const std::size_t ranges =
+      num_batches >= job.num_threads
+          ? 1
+          : std::min((job.num_threads + num_batches - 1) / num_batches,
+                     std::max<std::size_t>(batch_windows(0), 1));
+  const std::size_t num_units = num_batches * ranges;
+  const std::size_t num_threads = clamp_threads(job.num_threads, num_units);
 
-  std::atomic<std::size_t> next_batch{0};
+  std::atomic<std::size_t> next_unit{0};
   // One stats slot per worker; summed after the join.  Addition of
   // integer counts is commutative, so the total is independent of which
-  // worker claims which batch.  Pooled slots live in the context (reused
+  // worker claims which unit.  Pooled slots live in the context (reused
   // capacity); otherwise a per-call vector.  ActivityStats is plain
   // scalar counters, so the slots are shared by every backend.
   const std::size_t nets = job.module->num_nets();
@@ -297,30 +312,35 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
   auto worker = [&](std::size_t slot) {
     PML_OBS_SPAN("activity.worker");
     sim::ActivityStats& local = partial(slot);
-    // Pooled path: rebind this slot's warmed simulator (zero allocation
-    // for same-shaped modules); otherwise bind a per-call local.
-    sim::BatchEventSimulatorT<L> local_sim;
-    sim::BatchEventSimulatorT<L>& bsim =
-        job.context != nullptr ? pooled_event<L>(job.context->worker(slot))
-                               : local_sim;
-    if (bsim.bound()) PML_OBS_COUNT("eval.pool_reuse", 1);
+    // The running thread's simulator: zero allocation once it has seen a
+    // same-shaped module.  Nothing below fans out while it is in use.
+    sim::BatchEventSimulatorT<L>& bsim = sim::thread_simulator<L>();
     bsim.rebind(*job.module, *job.lib, job.time_quantum_ms, job.lv);
     for (;;) {
-      // Cancellation checkpoint between batches (see verify loop).
+      // Cancellation checkpoint between units (see verify loop).
       if (job.cancel != nullptr) job.cancel->check("activity.batch");
-      const std::size_t b = next_batch.fetch_add(1, std::memory_order_relaxed);
-      if (b >= num_batches) return;
-      PML_OBS_COUNT("sim.batch_event.batches", 1);
-      PML_OBS_COUNT("sim.batch_event.lanes_active",
-                    std::min(kLanes, num_chunks - b * kLanes));
-      PML_OBS_COUNT("sim.batch_event.lane_capacity", kLanes);
-      run_activity_batch<L>(bsim, b, num_chunks, chunk, n, job.sequential,
-                            job.cycles_per_inference, *job.samples, ports,
-                            local);
+      const std::size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
+      if (u >= num_units) return;
+      const std::size_t b = u / ranges;
+      const std::size_t i = u % ranges;
+      const std::size_t windows = batch_windows(b);
+      const std::size_t first = i * windows / ranges;
+      const std::size_t last = (i + 1) * windows / ranges;
+      if (i == 0) {  // batch counters: once per batch, whatever the split
+        PML_OBS_COUNT("sim.batch_event.batches", 1);
+        PML_OBS_COUNT("sim.batch_event.lanes_active",
+                      std::min(kLanes, num_chunks - b * kLanes));
+        PML_OBS_COUNT("sim.batch_event.lane_capacity", kLanes);
+      } else if (first == last) {
+        continue;  // a short final batch has fewer windows than ranges
+      }
+      run_activity_batch<L>(bsim, b, first, last, num_chunks, chunk, n,
+                            job.sequential, job.cycles_per_inference,
+                            *job.samples, ports, local);
     }
   };
 
-  util::run_workers(num_threads, next_batch, num_batches, worker,
+  util::run_workers(num_threads, next_unit, num_units, worker,
                     "activity.worker");
 
   out.net_toggles.assign(nets, 0);

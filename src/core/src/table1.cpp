@@ -95,8 +95,10 @@ Table1Result run_table1(const cells::CellLibrary& lib,
       p2.evaluate.power_threads = options.num_threads;
       p2.evaluate.verify.num_threads = options.num_threads;
       p2.evaluate.backend = options.backend;
+      // One OvO model serves SVM [2] and SVM [3]: same data, C and seed.
+      const ml::MulticlassSvm ovo = train_parallel_svm_model(train, p2);
       ParallelSvmBaseline b2 =
-          build_parallel_svm_baseline(train, test, lib, p2);
+          build_parallel_svm_baseline(ovo, train, test, lib, p2);
       b2.hw.dataset = ds_name;
       pd.e2 = b2.hw.energy_mj;
       pd.a2 = b2.hw.accuracy;
@@ -107,7 +109,7 @@ Table1Result run_table1(const cells::CellLibrary& lib,
       ParallelSvmBaselineOptions p3 = p2;
       p3.approx_csd_digits = 1;
       ParallelSvmBaseline b3 =
-          build_parallel_svm_baseline(train, test, lib, p3);
+          build_parallel_svm_baseline(ovo, train, test, lib, p3);
       b3.hw.dataset = ds_name;
       pd.e3 = b3.hw.energy_mj;
       pd.a3 = b3.hw.accuracy;

@@ -5,8 +5,9 @@
 // (rather than trusting cell count) is that the two real objectives —
 // area and switching energy — disagree: PR 4's area-minimal netlist
 // glitches more than the raw one.  SwitchingEnergyCost replays a short
-// caller-supplied probe workload through one batch of a
-// sim::BatchEventSimulator and prices a candidate by measured
+// caller-supplied probe workload through one batch of
+// sim::BatchEventSimulator lanes, its windows spread over the shared
+// util::TaskPool, and prices a candidate by measured
 // transitions x per-cell switch energy x fanout load (+ clock energy) —
 // the same glitch-aware figure power::estimate reports, minus the
 // period-dependent scaling that cancels between candidates.
@@ -58,11 +59,21 @@ struct ProbeWorkload {
 
 /// Measured switching energy (nJ) of one probe replay, glitches included.
 ///
-/// One instance pools its probe scratch (simulator, levelization, arena)
-/// and rebinds it per cost() call, so repeated probes of same-shaped
-/// candidates allocate nothing.  The costs equal a fresh instance's, also
-/// after a probe that threw.  The scratch makes one instance unsafe to
-/// probe from two threads at once; give each thread its own.
+/// A probe is one inference per lane from the power-on state: C + 1
+/// propagation windows for C clock cycles per inference (one for a
+/// combinational probe).  cost() splits them into contiguous ranges over
+/// min(TaskPool width, C + 1) util::TaskPool slots; each slot replays its
+/// range on its thread's simulator (sim::thread_simulator), reaching the
+/// range's first window in zero delay (BatchEventSimulatorT::run_windows).
+/// The per-slot counts are integer sums, so the cost equals a one-slot
+/// probe's bit for bit at every pool width.
+///
+/// One instance pools the rest of its probe scratch (levelization, arena,
+/// per-slot counts) and rebinds it per cost() call, so repeated probes of
+/// same-shaped candidates allocate nothing beyond the fan-out.  The costs
+/// equal a fresh instance's, also after a probe that threw (a slot's
+/// exception is rethrown on the caller).  The scratch makes one instance
+/// unsafe to probe from two threads at once; give each thread its own.
 class SwitchingEnergyCost final : public CostModel {
  public:
   /// `lib` is borrowed and must outlive the model.  Throws

@@ -30,7 +30,7 @@
 // A net's waveform is reclaimed — its final value and functional count
 // committed — as soon as its last combinational reader has merged it,
 // and a full buffer compacts its live segments before it grows, so it
-// tracks the live frontier of the levelized sweep (at most ~4x it)
+// tracks the live frontier of the levelized sweep (at most 2x its peak)
 // rather than the whole window.  Its capacity survives rebind(), which keeps
 // the zero-allocation pooling contract.
 //
@@ -40,7 +40,8 @@
 // parallel-SVM and MLP circuits, on random netlists and on the kernel's
 // edge cases (equal-tick reconvergence, one net on two pins, repeated
 // staging, long-lived sources).  tests/test_sim_batch_event.cpp also
-// proves warm_up() against the delay-accurate round it stands in for, on
+// proves warm_up() against the delay-accurate round it stands in for, and
+// every run_windows() split of an inference against the serial one, on
 // every backend.
 //
 // `BatchEventSimulator` remains the 64-lane scalar instantiation; AVX2
@@ -54,11 +55,17 @@
 // equal the sum of scalar EventSimulator ActivityStats over the counted
 // lanes' sample histories.  warm_up() reaches a round's final state in
 // zero delay, counting nothing, for rounds whose transitions are not
-// wanted (the power replay's warm-up).
+// wanted (the power replay's warm-up).  run_windows() runs a range of one
+// inference's windows, reaching its first window the same way; the counts
+// are integer sums, so ranges run on separate simulators add up to the
+// whole inference's.  That is how one lane word's replay spreads over
+// threads: the settle window and the C clock windows of a C-cycle
+// inference are split into ranges, one per TaskPool slot.
 //
 // This is the engine behind core::collect_activity (the power replay)
-// and opt::SwitchingEnergyCost (the optimizer's cost probes).  The scalar
-// EventSimulator remains the reference oracle.
+// and opt::SwitchingEnergyCost (the optimizer's cost probes); both split
+// windows over the pool when they have fewer lane words than workers.
+// The scalar EventSimulator remains the reference oracle.
 
 #include <algorithm>
 #include <cmath>
@@ -255,27 +262,24 @@ class BatchEventSimulatorT {
   /// EventSimulator::step; one shared source tick, so it is tick 0 here).
   void step() {
     settle();
-    for (std::size_t i = 0; i < dffs_.size(); ++i) {
-      L::store(dff_state_.data() + i * kChunks,
-               L::load(values_.data() + dffs_[i].d * kChunks));
+    clock_window();
+  }
+  /// Windows [first, last) of one inference over the staged inputs, as
+  /// settle() then step() x cycles runs them: window 0 settles the inputs
+  /// and window k (1 <= k <= cycles) is the k-th clock edge's.  The
+  /// windows before `first` are reached with warm_up(first - 1): zero
+  /// delay, uncounted, and exact for the reason given there.  So ranges
+  /// that partition [0, cycles + 1), each run on its own simulator from
+  /// the same state, count together exactly what the whole inference
+  /// counts, and the range ending at cycles + 1 ends in its final state:
+  /// this is how one inference's windows fan out over threads.
+  void run_windows(int first, int last) {
+    if (first > 0) {
+      warm_up(first - 1);
+    } else if (last > 0) {
+      settle();
     }
-    const auto cmask = L::load(count_mask_);
-    std::uint64_t sources = 0;
-    for (std::size_t i = 0; i < dffs_.size(); ++i) {
-      const std::uint64_t* next = dff_state_.data() + i * kChunks;
-      const auto q = L::load(values_.data() + dffs_[i].q * kChunks);
-      if (!L::is_zero(L::bxor(L::load(next), q))) {
-        add_source(dffs_[i].q, next, cmask);
-        ++sources;
-      }
-    }
-    std::uint64_t counted = 0;
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      counted += static_cast<std::uint64_t>(std::popcount(count_mask_[c]));
-    }
-    activity_.dff_clock_events += dffs_.size() * counted;
-    activity_.cycles += counted;
-    propagate(sources);
+    for (int k = std::max(first, 1); k < last; ++k) clock_window();
   }
   /// Uncounted warm-up: apply the staged primary-input changes and run
   /// `cycles` clock cycles (<= 0: one settle) as zero-delay sweeps,
@@ -406,6 +410,32 @@ class BatchEventSimulatorT {
     if (port == nullptr) port = module_->find_input(name);
     if (port == nullptr) throw std::invalid_argument("no port: " + name);
     return *port;
+  }
+
+  /// Clock all DFFs and propagate the Q changes (step() after its
+  /// settle()); counts the edge in every counted lane.
+  void clock_window() {
+    for (std::size_t i = 0; i < dffs_.size(); ++i) {
+      L::store(dff_state_.data() + i * kChunks,
+               L::load(values_.data() + dffs_[i].d * kChunks));
+    }
+    const auto cmask = L::load(count_mask_);
+    std::uint64_t sources = 0;
+    for (std::size_t i = 0; i < dffs_.size(); ++i) {
+      const std::uint64_t* next = dff_state_.data() + i * kChunks;
+      const auto q = L::load(values_.data() + dffs_[i].q * kChunks);
+      if (!L::is_zero(L::bxor(L::load(next), q))) {
+        add_source(dffs_[i].q, next, cmask);
+        ++sources;
+      }
+    }
+    std::uint64_t counted = 0;
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      counted += static_cast<std::uint64_t>(std::popcount(count_mask_[c]));
+    }
+    activity_.dff_clock_events += dffs_.size() * counted;
+    activity_.cycles += counted;
+    propagate(sources);
   }
 
   /// Flatten comb_order into ops_ and mark, walking it backwards, each
@@ -603,16 +633,17 @@ class BatchEventSimulatorT {
   }
 
   /// Make room for `entries` more at wave_top_: compact when full, and
-  /// double the buffer only if the live segments plus the request would
-  /// still fill more than half of it — so at least half the buffer is
-  /// appended between compactions, and each costs at most as many moves.
+  /// grow only if the live segments plus the request would still fill
+  /// more than three quarters of the buffer, to twice their size — so the
+  /// buffer stays within twice the peak live frontier, at least a quarter
+  /// of it is appended between compactions, and each compaction costs at
+  /// most three moves per appended entry.
   void reserve_waves(std::size_t entries) {
     if (wave_top_ + entries <= wave_ticks_.size()) return;
     if (wave_dead_ != 0) compact_waves();
-    if (2 * (wave_top_ + entries) <= wave_ticks_.size()) return;
+    if (4 * (wave_top_ + entries) <= 3 * wave_ticks_.size()) return;
     const std::size_t cap =
-        std::max({2 * wave_ticks_.size(), 2 * (wave_top_ + entries),
-                  std::size_t{1024}});
+        std::max(2 * (wave_top_ + entries), std::size_t{1024});
     wave_ticks_.resize(cap);
     wave_words_.resize(cap);
   }
@@ -685,5 +716,18 @@ class BatchEventSimulatorT {
 /// and the type every historical call site keeps using.
 using BatchEventSimulator = BatchEventSimulatorT<LaneU64>;
 extern template class BatchEventSimulatorT<LaneU64>;
+
+/// The calling thread's simulator for lane word L, kept for the thread's
+/// lifetime.  The power replay's workers and the cost probes' slots each
+/// rebind the one of the thread they run on, so a process holds one per
+/// thread that ran such a slot — not one per slot of every evaluation in
+/// flight — and a warm thread rebinds same-shaped modules without
+/// allocating.  A user must not fan out onto the pool while it holds it:
+/// a slot run inline on the same thread would rebind it.
+template <LaneWord L>
+[[nodiscard]] BatchEventSimulatorT<L>& thread_simulator() {
+  thread_local BatchEventSimulatorT<L> sim;
+  return sim;
+}
 
 }  // namespace pml::sim

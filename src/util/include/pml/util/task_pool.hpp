@@ -45,11 +45,12 @@
 // runner.  Threads start at the first submission and can be joined with
 // stop(); the next submission restarts them.
 //
-// Observability: `pool.tasks` (slots + detached tasks executed),
-// `pool.steals` (successful deque steals), `pool.parked` (worker park
-// events) counters, and every task body runs under an obs::TaskTrack so
-// reused OS threads still render one trace track per task (see
-// docs/observability.md).
+// Observability: `pool.tasks` (group slots executed, a work count),
+// `pool.detached` (detached tasks executed: the sweep service's seats,
+// whose number depends on timing), `pool.steals` (successful deque
+// steals), `pool.parked` (worker park events) counters, and every task
+// body runs under an obs::TaskTrack so reused OS threads still render one
+// trace track per task (see docs/observability.md).
 
 #include <cstddef>
 #include <cstdint>
@@ -121,7 +122,7 @@ class TaskPool {
       static void execute(Task* t) {
         std::unique_ptr<Node> self(static_cast<Node*>(t));
         obs::TaskTrack track(self->label);
-        TaskPool::note_task_executed();
+        TaskPool::note_detached_executed();
         self->fn();
       }
     };
@@ -144,9 +145,9 @@ class TaskPool {
   void run_group_erased(std::size_t slots, const char* label, GroupBody body,
                         void* ctx);
   void submit_task(Task* task);
-  /// Bumps the `pool.tasks` counter (out-of-line so the header does not
+  /// Bumps the `pool.detached` counter (out-of-line so the header does not
   /// depend on the metrics registry).
-  static void note_task_executed() noexcept;
+  static void note_detached_executed() noexcept;
 
   Shared* s_;  // owned, never freed (singleton is leaked)
   std::size_t size_ = 0;

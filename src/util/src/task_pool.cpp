@@ -210,7 +210,9 @@ std::uint64_t TaskPool::threads_started() const noexcept {
   return s_->threads_started.load(std::memory_order_relaxed);
 }
 
-void TaskPool::note_task_executed() noexcept { PML_OBS_COUNT("pool.tasks", 1); }
+void TaskPool::note_detached_executed() noexcept {
+  PML_OBS_COUNT("pool.detached", 1);
+}
 
 namespace {
 

@@ -26,7 +26,9 @@
 #include "pml/opt/cost_model.hpp"
 #include "pml/opt/optimizer.hpp"
 #include "pml/opt/pass_manager.hpp"
+#include "pml/power/power.hpp"
 #include "pml/quant/svm_quant.hpp"
+#include "pml/sim/batch_event_sim.hpp"
 #include "pml/sim/batch_sim.hpp"
 #include "pml/sim/levelize.hpp"
 
@@ -688,6 +690,78 @@ TEST(PassManagerCost, PooledProbeEqualsAFreshModelPerModule) {
     EXPECT_THROW((void)pooled.cost(c), std::invalid_argument);
     EXPECT_EQ(pooled.cost(b), fresh(b));
     EXPECT_EQ(pooled.cost(a), fresh(a));
+  }
+}
+
+/// The one-slot probe SwitchingEnergyCost splits: every lane's sample
+/// staged from power-on, then settle() or step() x cycles on one
+/// simulator.
+double one_slot_probe(const cells::CellLibrary& lib, const ProbeWorkload& probe,
+                      const Module& m) {
+  const auto lv = sim::levelize_shared(m);
+  sim::BatchEventSimulator sim(m, lib, 0.02, lv);
+  const std::size_t lanes = std::min(probe.samples.size(), kLanes);
+  sim.set_count_mask(lanes == kLanes ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << lanes) - 1);
+  std::uint64_t values[kLanes] = {};
+  for (std::size_t p = 0; p < m.input_ports().size(); ++p) {
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      values[lane] = probe.samples[lane][p];
+    }
+    sim.set_port(m.input_ports()[p], values, lanes);
+  }
+  if (probe.cycles_per_inference <= 0) {
+    sim.settle();
+  } else {
+    for (int c = 0; c < probe.cycles_per_inference; ++c) sim.step();
+  }
+  return power::switching_energy_nj(m, lib, sim.activity(), *lv);
+}
+
+ProbeWorkload random_probe(const Module& m, int cycles, std::size_t rows,
+                           std::uint64_t seed) {
+  ProbeWorkload probe;
+  probe.cycles_per_inference = cycles;
+  std::uint64_t s = seed | 1;
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<std::uint64_t> row;
+    for (const auto& port : m.input_ports()) {
+      row.push_back(xorshift(s) & ((std::uint64_t{1} << port.nets.size()) - 1));
+    }
+    probe.samples.push_back(std::move(row));
+  }
+  return probe;
+}
+
+// cost() spreads a probe's C + 1 windows over min(pool width, C + 1)
+// TaskPool slots and sums their integer counts, so the cost is the
+// one-slot probe's bit for bit (with a pool of one it is that probe).
+TEST(PassManagerCost, SplitProbeEqualsTheOneSlotProbe) {
+  const cells::CellLibrary lib = cells::CellLibrary::egfet();
+  const auto seq = arch::build_sequential_svm(random_svm(4, 3, 3, 4, 11));
+  struct Case {
+    std::string name;
+    Module module;
+    int cycles;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"sequential_svm", seq.module, seq.cycles_per_inference});
+  for (const int cycles : {1, 2, 5}) {
+    cases.push_back({"random_dff_x" + std::to_string(cycles),
+                     random_module(71, true), cycles});
+  }
+  cases.push_back({"random_settle_only", random_module(72, true), 0});
+  cases.push_back({"combinational", random_module(73, false), 0});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (const std::size_t rows : {std::size_t{5}, std::size_t{64}}) {
+      const ProbeWorkload probe = random_probe(c.module, c.cycles, rows, 29);
+      const double want = one_slot_probe(lib, probe, c.module);
+      ASSERT_GT(want, 0.0);
+      const SwitchingEnergyCost cost(lib, probe);
+      EXPECT_EQ(cost.cost(c.module), want) << rows << " rows";
+      EXPECT_EQ(cost.cost(c.module), want) << rows << " rows, pooled";
+    }
   }
 }
 

@@ -6,8 +6,9 @@
 // back-to-back inference without reset, count masking, the waveform
 // kernel's edge cases (equal-tick reconvergence, one net on two pins,
 // repeated staging, a source live across the whole sweep), the uncounted
-// zero-delay warm_up against the delay-accurate round it replaces (on
-// every backend), and the sharded core::collect_activity driver against
+// zero-delay warm_up against the delay-accurate round it replaces and
+// run_windows ranges against the inference they split (on every
+// backend), and the sharded core::collect_activity driver against
 // one serial scalar stream on every generator, backend and thread count.
 
 #include <gtest/gtest.h>
@@ -36,6 +37,10 @@ namespace warm_check {
 
 std::string warm_up_mismatch_u64(const Case& c) {
   return warm_up_mismatch<LaneU64>(c);
+}
+
+std::string window_split_mismatch_u64(const Case& c) {
+  return window_split_mismatch<LaneU64>(c);
 }
 
 }  // namespace warm_check
@@ -714,6 +719,101 @@ TEST(WarmUp, EqualsDelayAccurateRoundOnRandomNetlists) {
       c.ports = {m.find_input("x")};
       c.samples = random_samples(kRows, 1, 0x3F, seed * 31);
       expect_warm_up_exact(c);
+    }
+  }
+}
+
+// --- run_windows: one inference's windows split into ranges ----------------
+// Ranges of an inference's windows, each run from the same state, count
+// together what the serial inference counts, and the last ends in its
+// state (see warm_up_check.hpp).
+
+void expect_window_split_exact(const warm_check::Case& c) {
+  EXPECT_EQ(warm_check::window_split_mismatch_u64(c), "") << "u64";
+  if (backend_available(Backend::kAvx2)) {
+    EXPECT_EQ(warm_check::window_split_mismatch_avx2(c), "") << "avx2";
+  }
+  if (backend_available(Backend::kAvx512)) {
+    EXPECT_EQ(warm_check::window_split_mismatch_avx512(c), "") << "avx512";
+  }
+}
+
+/// A 4-bit accumulator, acc += x0 on every clock edge and never reloaded:
+/// its state carries over from one inference to the next.
+Module accumulator_module() {
+  Module m("accumulator");
+  const std::vector<NetId> x = m.add_input_port("x0", 4);
+  const std::vector<NetId> d = m.new_nets(4);
+  std::vector<NetId> acc;
+  for (const NetId n : d) acc.push_back(m.dff(n));
+  NetId carry = netlist::kConst0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const NetId p = m.xor2(acc[i], x[i]);
+    m.drive_net(d[i], m.xor2(p, carry));
+    carry = m.or2(m.and2(acc[i], x[i]), m.and2(p, carry));
+  }
+  m.add_output_port("acc", acc);
+  return m;
+}
+
+TEST(WindowSplit, RangesEqualTheSerialInference) {
+  const auto lib = cells::CellLibrary::egfet();
+  const QuantizedSvm q = random_svm(4, 3, 3, 4, 19);
+  const QuantizedMlp m = random_mlp(2, 3, 3, 2, 43);
+  const auto xs = random_samples(kRows, 3, q.input_format.max_code(), 7);
+  const auto mxs = random_samples(kRows, 2, m.input_format.max_code(), 11);
+  const auto accs = random_samples(kRows, 1, 15, 13);
+  opt::OptOptions raw;
+  raw.enabled = false;
+  const auto seq_raw = arch::build_sequential_svm(q, raw);
+  const auto seq_opt = arch::build_sequential_svm(q);
+  const auto seq_mlp = arch::build_sequential_mlp(m);
+  const Module acc = accumulator_module();
+  ASSERT_EQ(acc.validate(), std::nullopt);
+  struct Named {
+    const char* name;
+    const Module& module;
+    int cycles;
+    std::size_t features;
+    const std::vector<std::vector<std::int64_t>>& samples;
+  };
+  for (const Named& n : {
+           Named{"sequential_svm_raw", seq_raw.module,
+                 seq_raw.cycles_per_inference, 3, xs},
+           Named{"sequential_svm_opt", seq_opt.module,
+                 seq_opt.cycles_per_inference, 3, xs},
+           Named{"sequential_mlp", seq_mlp.module,
+                 seq_mlp.cycles_per_inference, 2, mxs},
+           Named{"accumulator", acc, 3, 1, accs},
+           Named{"accumulator_settle_only", acc, 0, 1, accs},
+       }) {
+    SCOPED_TRACE(n.name);
+    warm_check::Case c;
+    c.module = &n.module;
+    c.lib = &lib;
+    c.cycles = n.cycles;
+    c.ports = feature_port_list(n.module, n.features);
+    c.samples = n.samples;
+    expect_window_split_exact(c);
+  }
+}
+
+TEST(WindowSplit, RangesEqualTheSerialInferenceOnRandomNetlists) {
+  const auto lib = cells::CellLibrary::egfet();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Module m = random_module(seed, 6, 60, 5);
+    ASSERT_EQ(m.validate(), std::nullopt);
+    for (const int cycles : {0, 2}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " cycles " +
+                   std::to_string(cycles));
+      warm_check::Case c;
+      c.module = &m;
+      c.lib = &lib;
+      c.quantum = 0.01;
+      c.cycles = cycles;
+      c.ports = {m.find_input("x")};
+      c.samples = random_samples(kRows, 1, 0x3F, seed * 37);
+      expect_window_split_exact(c);
     }
   }
 }

@@ -1,6 +1,7 @@
 // Job-queue behavior of svc::SweepService: async submit/wait, in-flight
 // dedup, error caching, the sweep_flows driver's equivalence with
-// core::sweep_flows, and the stats surface.
+// core::sweep_flows, the stats surface, and `pool.tasks` as a work count
+// across identical sweeps.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,10 @@
 
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/flow.hpp"
+#include "pml/obs/metrics.hpp"
 #include "pml/quant/svm_quant.hpp"
 #include "pml/svc/sweep_service.hpp"
+#include "pml/util/task_pool.hpp"
 
 namespace pml::svc {
 namespace {
@@ -174,6 +177,35 @@ TEST(SvcService, MultiWorkerPoolCompletesAllJobs) {
   ASSERT_EQ(rows.size(), 4u);
   for (const auto& row : rows) EXPECT_TRUE(row.hw.verified);
   EXPECT_EQ(service.stats().evaluated, 4u);
+}
+
+// `pool.tasks` counts group slots, a work count: two identical sweeps on
+// fresh services move it by the same amount, whenever their seats (counted
+// apart, as `pool.detached`) retired and were re-spawned.
+TEST(SvcService, IdenticalSweepsCountEqualPoolTasks) {
+  const auto lib = cells::CellLibrary::egfet();
+  const auto req = tiny_request();
+  const auto sweep = [&] {
+    SweepService::Options opts;
+    opts.num_workers = 2;
+    SweepService service(lib, opts);
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    const auto rows =
+        service.sweep_flows(req.module, req.cycles_per_inference, req.workload,
+                            core::EvaluateOptions{});
+    EXPECT_EQ(rows.size(), 4u);
+    for (const auto& row : rows) EXPECT_TRUE(row.hw.verified);
+    return obs::diff_metrics(before, obs::snapshot_metrics());
+  };
+  const obs::MetricsSnapshot first = sweep();
+  const obs::MetricsSnapshot second = sweep();
+  EXPECT_GT(first.counter_value("pool.detached"), 0u);
+  if (util::TaskPool::instance().size() > 1) {
+    // The power replay and the cost probes fan out over the pool.
+    EXPECT_GT(first.counter_value("pool.tasks"), 0u);
+  }
+  EXPECT_EQ(first.counter_value("pool.tasks"),
+            second.counter_value("pool.tasks"));
 }
 
 }  // namespace
