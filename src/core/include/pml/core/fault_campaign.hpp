@@ -12,12 +12,25 @@
 // 511 under u64 / AVX2 / AVX-512 (lane 0 carries the fault-free golden
 // reference for free) — sized within one of each other.  Each pass
 // evaluates only the fanout cone of its faults: outside it every lane is
-// fault-free, so one single-lane golden replay per campaign records what
-// the cones read from outside, and each pass is fed that trace.  A pass
-// whose cone cannot reach `class` is skipped, its variants taking the
-// golden count.  Passes run as tasks on the shared util::TaskPool and
-// share one Levelization — the same pattern as core::verify_workload /
-// core::collect_activity.
+// fault-free, so one golden replay per campaign records what the cones
+// read from outside, and each pass is fed that trace.  A pass whose cone
+// cannot reach `class` is skipped, its variants taking the golden count.
+// The cones are planned and the passes run as tasks on the shared
+// util::TaskPool, sharing one Levelization — the same pattern as
+// core::verify_workload / core::collect_activity.
+//
+// The golden replay runs the samples in parallel, one per lane of a u64
+// word (a contiguous run of samples per lane past 64).  Lane 0 starts at
+// sample 0 from power-on, exactly as the serial protocol does; every
+// other lane warms up from power-on on the last sample of the lane before
+// it, then replays its own.  Warm-up alone is not trusted: the replay
+// checks that each lane's DFF state after its warm-up equals the state
+// its predecessor lane ended in.  The settles of a sample depend only on
+// that state and the sample's inputs, so if every hand-off matches, each
+// lane replays exactly the serial stream, by induction from lane 0.  If
+// one differs — a circuit whose state carries across inferences — the
+// replay runs again as one lane holding the whole stream, which is the
+// serial protocol itself (counted in fault.golden_fallbacks).
 //
 // Protocol, per fault variant: install the stuck-at faults, reset the
 // circuit (power-on DFF state, settle with faults applied), then replay
@@ -65,8 +78,9 @@ struct FaultSet {
     std::size_t num_sets, std::uint64_t seed);
 
 struct FaultCampaignOptions {
-  /// Worker threads; 0 = the shared util::TaskPool's width (clamped to
-  /// the batch count, so small campaigns never fan out idle slots).
+  /// Worker threads, for cone planning and for the variant batches; 0 =
+  /// the shared util::TaskPool's width (clamped to the batch count, so
+  /// small campaigns never fan out idle slots).
   std::size_t num_threads = 0;
   /// Evaluation samples per variant (clamped to the workload size).  The
   /// golden trace holds one bit per traced net per settle, so its memory
@@ -75,10 +89,10 @@ struct FaultCampaignOptions {
   /// Optional pre-derived levelization shared with the caller's other
   /// analyses; nullptr derives one internally.
   std::shared_ptr<const sim::Levelization> levelization;
-  /// Optional cooperative cancellation, checked per sample of the golden
-  /// replay and between worker batches (throws util::Cancelled) — a
-  /// multi-hour campaign can be abandoned at the next variant-batch
-  /// boundary.  Null = no checks.
+  /// Optional cooperative cancellation, checked per planned batch, per
+  /// phase of the golden replay and between worker batches (throws
+  /// util::Cancelled) — a multi-hour campaign can be abandoned at the
+  /// next variant-batch boundary.  Null = no checks.
   const util::CancellationToken* cancel = nullptr;
   /// SWAR lane-word backend (kAuto = widest available; see
   /// sim::resolve_backend).  A wider backend packs more variants per pass

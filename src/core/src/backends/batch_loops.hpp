@@ -352,6 +352,34 @@ void run_activity_loop(const ActivityJob& job, sim::ActivityStats& out) {
 
 // --- fault campaign ---------------------------------------------------------
 
+/// The campaign protocol of every variant batch, whose settles line up
+/// one to one with the golden trace rows: power on and settle (row 0);
+/// then per sample, drive the feature ports and settle
+/// `settles_per_sample` times, clocking before every settle but the
+/// first.  This is exactly the reset + set_port + step() sequence of the
+/// scalar oracle.  `settle(row)` must propagate `sim`; `sample_done(i)`
+/// runs after sample i's last settle.
+template <class Sim, class Settle, class SampleDone>
+void run_campaign_protocol(Sim& sim, const FaultJob& job, Settle&& settle,
+                           SampleDone&& sample_done) {
+  const CircuitWorkload& workload = *job.workload;
+  const std::vector<const netlist::Port*>& ports = *job.ports;
+  std::size_t row = 0;
+  sim.power_on();
+  settle(row++);
+  for (std::size_t i = 0; i < job.num_samples; ++i) {
+    for (std::size_t j = 0; j < ports.size(); ++j) {
+      sim.set_port_broadcast(
+          *ports[j], static_cast<std::uint64_t>(workload.feature_codes[i][j]));
+    }
+    for (std::size_t s = 0; s < job.settles_per_sample; ++s) {
+      if (s > 0) sim.clock();
+      settle(row++);
+    }
+    sample_done(i);
+  }
+}
+
 template <class L>
 void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
   // Lane 0 carries the golden reference; the driver packed at most
@@ -407,13 +435,22 @@ void run_fault_loop(const FaultJob& job, FaultCampaignResult& result) {
         }
         bsim.propagate();
       };
-      std::fill(miscount, miscount + batch.count + 1, std::size_t{0});
+      // Read the class port a word at a time: one miss mask per 64 lanes,
+      // then one count per set lane (lanes past the batch masked off).
+      const std::size_t live = batch.count + 1;
+      std::fill(miscount, miscount + live, std::size_t{0});
       run_campaign_protocol(bsim, job, settle, [&](std::size_t i) {
         const int expected = job.workload->expected_class[i];
-        for (std::size_t lane = 0; lane <= batch.count; ++lane) {
-          const int predicted =
-              static_cast<int>(bsim.port_unsigned(*job.class_port, lane));
-          miscount[lane] += predicted != expected;
+        for (std::size_t c = 0; c * 64 < live; ++c) {
+          std::uint64_t miss =
+              class_miss_lanes(bsim, *job.class_port, c, expected);
+          if (live - c * 64 < 64) {
+            miss &= (std::uint64_t{1} << (live - c * 64)) - 1;
+          }
+          for (; miss != 0; miss &= miss - 1) {
+            ++miscount[c * 64 +
+                       static_cast<std::size_t>(std::countr_zero(miss))];
+          }
         }
       });
       for (std::size_t v = 0; v < batch.count; ++v) {

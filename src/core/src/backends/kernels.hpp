@@ -12,6 +12,7 @@
 // vector type, and the compiler is free to use vector instructions
 // everywhere inside a backend TU.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -77,7 +78,9 @@ struct FaultBatch {
 };
 
 /// The fault-free value of selected nets after every settle of the
-/// campaign protocol, bit-packed: row r, column c is nets[c] after settle r.
+/// campaign protocol (run_campaign_protocol), bit-packed: row r, column c
+/// is nets[c] after settle r.  Row 0 is the power-on settle, row
+/// 1 + i * settles_per_sample + s sample i's settle s.
 struct GoldenTrace {
   std::vector<netlist::NetId> nets;
   std::size_t words = 0;  ///< uint64 words per row
@@ -101,32 +104,23 @@ struct FaultJob : JobBase {
   std::size_t* golden_counts = nullptr;
 };
 
-/// The campaign protocol, shared by the golden replay and every variant
-/// batch so their settles line up one to one with the trace rows: power
-/// on and settle (row 0); then per sample, drive the feature ports and
-/// settle `settles_per_sample` times, clocking before every settle but the
-/// first.  This is exactly the reset + set_port + step() sequence of the
-/// scalar oracle.  `settle(row)` must propagate `sim`; `sample_done(i)`
-/// runs after sample i's last settle.
-template <class Sim, class Settle, class SampleDone>
-void run_campaign_protocol(Sim& sim, const FaultJob& job, Settle&& settle,
-                           SampleDone&& sample_done) {
-  const CircuitWorkload& workload = *job.workload;
-  const std::vector<const netlist::Port*>& ports = *job.ports;
-  std::size_t row = 0;
-  sim.power_on();
-  settle(row++);
-  for (std::size_t i = 0; i < job.num_samples; ++i) {
-    for (std::size_t j = 0; j < ports.size(); ++j) {
-      sim.set_port_broadcast(
-          *ports[j], static_cast<std::uint64_t>(workload.feature_codes[i][j]));
-    }
-    for (std::size_t s = 0; s < job.settles_per_sample; ++s) {
-      if (s > 0) sim.clock();
-      settle(row++);
-    }
-    sample_done(i);
+/// Lanes [64c, 64c + 64) of `sim` whose class port reads other than
+/// `expected`, as static_cast<int>(port_unsigned(port, lane)) != expected
+/// compares them: only the port's low 32 bits reach the int, and a class
+/// the port cannot represent differs in every lane.
+template <class Sim>
+[[nodiscard]] std::uint64_t class_miss_lanes(const Sim& sim,
+                                             const netlist::Port& port,
+                                             std::size_t c, int expected) {
+  const std::size_t bits = std::min<std::size_t>(port.nets.size(), 32);
+  const auto want = static_cast<std::uint32_t>(expected);
+  if (bits < 32 && (want >> bits) != 0) return ~std::uint64_t{0};
+  std::uint64_t miss = 0;
+  for (std::size_t i = 0; i < bits; ++i) {
+    miss |= sim.net_chunk(port.nets[i], c) ^
+            (std::uint64_t{0} - ((want >> i) & 1u));
   }
+  return miss;
 }
 
 struct ProbeJob : JobBase {

@@ -1,6 +1,7 @@
 #include "pml/core/fault_campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "pml/obs/trace.hpp"
 #include "pml/sim/backend.hpp"
 #include "pml/sim/batch_sim.hpp"
+#include "pml/util/task_pool.hpp"
 
 namespace pml::core {
 
@@ -49,25 +51,20 @@ std::vector<FaultSet> sample_fault_sets(const netlist::Module& module,
 
 namespace {
 
-/// Epoch-stamped net marks: one pass over the netlist per cone, with no
-/// clearing in between.
+/// Net marks for one cone or closure.
 class NetMarks {
  public:
-  explicit NetMarks(std::size_t num_nets) : stamp_(num_nets, 0) {}
-  void next() { ++epoch_; }
-  /// Mark `net` in the current epoch; false if it already was.
+  explicit NetMarks(std::size_t num_nets) : marked_(num_nets, 0) {}
+  /// Mark `net`; false if it already was.
   bool mark(netlist::NetId net) {
-    if (stamp_[net] == epoch_) return false;
-    stamp_[net] = epoch_;
-    return true;
+    return std::exchange(marked_[net], char{1}) == 0;
   }
   [[nodiscard]] bool marked(netlist::NetId net) const {
-    return stamp_[net] == epoch_;
+    return marked_[net] != 0;
   }
 
  private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 0;
+  std::vector<char> marked_;
 };
 
 /// The comb cells (in levelized order) and DFFs whose outputs are marked.
@@ -101,27 +98,33 @@ struct CampaignPlan {
 /// only their cone.  What a cone reads but does not drive is its
 /// boundary: the cell-driven nets outside it read by its comb cells or
 /// DFF D pins.  Each batch is fed its boundary, and any class bits outside
-/// its cone, from the golden trace.
+/// its cone, from the golden trace.  The batches are planned on the
+/// TaskPool, `num_threads` slots wide (0 = the pool's width), each into its
+/// own entry; the plan is assembled in batch order, so it does not depend
+/// on which slot planned which batch.
 CampaignPlan plan_campaign(const netlist::Module& module,
                            const sim::Levelization& lv,
                            const std::vector<std::int32_t>& drivers,
                            const netlist::Port& class_port,
                            const std::vector<FaultSet>& fault_sets,
-                           std::size_t per_batch) {
+                           std::size_t per_batch, std::size_t num_threads,
+                           const util::CancellationToken* cancel) {
   const auto& cells = module.cells();
   const std::size_t num_sets = fault_sets.size();
   const std::size_t num_batches = (num_sets + per_batch - 1) / per_batch;
-  CampaignPlan plan;
-  NetMarks cone(module.num_nets());
-  std::vector<char> traced(module.num_nets(), 0);
-  std::vector<std::vector<netlist::NetId>> feeds;
-  std::vector<netlist::NetId> stack;
-  for (std::size_t b = 0, begin = 0; b < num_batches; ++b) {
-    const std::size_t count =
-        num_sets / num_batches + (b < num_sets % num_batches ? 1 : 0);
-    const std::size_t end = begin + count;
-    cone.next();
-    for (std::size_t v = begin; v < end; ++v) {
+  std::vector<backends::FaultBatch> planned(num_batches);
+  std::vector<std::vector<netlist::NetId>> feeds(num_batches);
+  std::vector<char> observed(num_batches, 0);
+  const auto plan_batch = [&](std::size_t b) {
+    PML_OBS_SPAN("fault.plan");
+    if (cancel != nullptr) cancel->check("fault.plan");
+    backends::FaultBatch& batch = planned[b];
+    batch.begin =
+        b * (num_sets / num_batches) + std::min(b, num_sets % num_batches);
+    batch.count = num_sets / num_batches + (b < num_sets % num_batches ? 1 : 0);
+    NetMarks cone(module.num_nets());
+    std::vector<netlist::NetId> stack;
+    for (std::size_t v = batch.begin; v < batch.begin + batch.count; ++v) {
       for (const StuckAtFault& f : fault_sets[v].faults) {
         if (cone.mark(f.net)) stack.push_back(f.net);
       }
@@ -135,16 +138,11 @@ CampaignPlan plan_campaign(const netlist::Module& module,
     }
     if (std::none_of(class_port.nets.begin(), class_port.nets.end(),
                      [&](netlist::NetId net) { return cone.marked(net); })) {
-      plan.unobserved.emplace_back(begin, count);
-      begin = end;
-      continue;
+      return;
     }
-    backends::FaultBatch& batch = plan.batches.emplace_back();
-    batch.begin = begin;
-    batch.count = count;
-    begin = end;
+    observed[b] = 1;
     collect_cells(module, lv, cone, batch.comb, batch.dffs);
-    std::vector<netlist::NetId>& feed = feeds.emplace_back();
+    std::vector<netlist::NetId>& feed = feeds[b];
     const auto feed_net = [&](netlist::NetId net) {
       if (!cone.marked(net) && drivers[net] >= 0) feed.push_back(net);
     };
@@ -157,9 +155,26 @@ CampaignPlan plan_campaign(const netlist::Module& module,
     for (const netlist::NetId net : class_port.nets) feed_net(net);
     std::sort(feed.begin(), feed.end());
     feed.erase(std::unique(feed.begin(), feed.end()), feed.end());
-    for (const netlist::NetId net : feed) traced[net] = 1;
-  }
+  };
+  // As many slots as the campaign's workers, each claiming batches.
+  util::TaskPool& pool = util::TaskPool::instance();
+  std::atomic<std::size_t> next{0};
+  pool.run_group(std::min(num_threads != 0 ? num_threads : pool.size(),
+                          num_batches),
+                 "fault.plan", [&](std::size_t /*slot*/) {
+                   for (std::size_t b = next++; b < num_batches; b = next++) {
+                     plan_batch(b);
+                   }
+                 });
 
+  CampaignPlan plan;
+  std::vector<char> traced(module.num_nets(), 0);
+  for (std::size_t b = 0; b < num_batches; ++b) {
+    if (observed[b] == 0) {
+      plan.unobserved.emplace_back(planned[b].begin, planned[b].count);
+    }
+    for (const netlist::NetId net : feeds[b]) traced[net] = 1;
+  }
   // Trace columns follow net order, so each batch's sorted feed maps to
   // ascending columns: group them into (word, mask) pairs.
   std::vector<std::uint32_t> column(module.num_nets(), 0);
@@ -168,8 +183,9 @@ CampaignPlan plan_campaign(const netlist::Module& module,
     column[net] = static_cast<std::uint32_t>(plan.traced.size());
     plan.traced.push_back(net);
   }
-  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-    auto& words = plan.batches[b].feed;
+  for (std::size_t b = 0; b < num_batches; ++b) {
+    if (observed[b] == 0) continue;
+    auto& words = planned[b].feed;
     for (const netlist::NetId net : feeds[b]) {
       const std::uint32_t col = column[net];
       if (words.empty() || words.back().first != col / 64) {
@@ -177,14 +193,40 @@ CampaignPlan plan_campaign(const netlist::Module& module,
       }
       words.back().second |= std::uint64_t{1} << (col % 64);
     }
+    plan.batches.push_back(std::move(planned[b]));
   }
   return plan;
 }
 
-/// Replay the fault-free circuit once under the campaign protocol,
-/// recording trace.nets after every settle.  Evaluates only their fan-in
-/// closure, plus the class port's when `count_golden` — then the replay
-/// alone counts the golden misclassifications, which it returns.
+/// Transpose a 64 x 64 bit matrix in place: bit c of a[r] becomes bit r of
+/// a[c] (swap the off-diagonal halves, then quarters, ... of every block).
+void transpose64(std::uint64_t* a) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & mask;
+      a[k] ^= t << j;
+      a[k + j] ^= t;
+    }
+  }
+}
+
+/// Replay the fault-free circuit under the campaign protocol, recording
+/// trace.nets after every settle.  Evaluates only their fan-in closure,
+/// plus the class port's when `count_golden` — then the replay alone
+/// counts the golden misclassifications, which it returns.
+///
+/// The samples run in parallel, one per lane of a u64 word.  With `step`
+/// samples per lane, lane l replays samples l*step .. l*step + step in
+/// phases 0 .. step from power-on and records all but its first: that
+/// sample, the last of lane l - 1, is its warm-up.  Lane 0 records its
+/// first sample too, so it is exactly the serial protocol, and the trace
+/// rows of lane l are the serial ones if lane l leaves its warm-up in the
+/// state lane l - 1 ends in.  That is checked over the closure's DFF Qs;
+/// if every hand-off matches, the whole trace is serial by induction on
+/// l.  If one differs (state that carries across inferences), the replay
+/// runs again with step = n - 1: one lane holding the whole stream, the
+/// serial protocol itself.
 std::size_t record_golden_trace(const backends::FaultJob& job,
                                 const std::vector<std::int32_t>& drivers,
                                 bool count_golden,
@@ -193,7 +235,6 @@ std::size_t record_golden_trace(const backends::FaultJob& job,
   const netlist::Module& module = *job.module;
   const auto& cells = module.cells();
   NetMarks closure(module.num_nets());
-  closure.next();
   std::vector<netlist::NetId> stack;
   const auto reach = [&](netlist::NetId net) {
     if (drivers[net] >= 0 && closure.mark(net)) stack.push_back(net);
@@ -213,31 +254,97 @@ std::size_t record_golden_trace(const backends::FaultJob& job,
   std::vector<std::uint32_t> comb, dffs;
   collect_cells(module, *job.lv, closure, comb, dffs);
 
+  const CircuitWorkload& workload = *job.workload;
+  const std::vector<const netlist::Port*>& ports = *job.ports;
+  const std::size_t n = job.num_samples;
+  const std::size_t settles = job.settles_per_sample;
+  constexpr std::size_t kNoRow = ~std::size_t{0};
   trace.words = (trace.nets.size() + 63) / 64;
-  trace.rows.assign((1 + job.num_samples * job.settles_per_sample) *
-                        trace.words,
-                    0);
+  trace.rows.assign((1 + n * settles) * trace.words, 0);
   sim::BatchSimulator replay(module, job.lv);
   replay.restrict_to(comb, dffs);
+  std::vector<std::uint64_t> warm(dffs.size());
+  std::uint64_t block[64];
+  std::uint64_t lane_values[64];
+  // Write each lane's values of trace.nets into trace row row_of(lane),
+  // 64 columns at a time: one transposed block holds 64 lanes' words.
+  const auto record = [&](std::size_t lanes, auto&& row_of) {
+    for (std::size_t w = 0; w < trace.words; ++w) {
+      const std::size_t cols =
+          std::min<std::size_t>(64, trace.nets.size() - 64 * w);
+      for (std::size_t c = 0; c < 64; ++c) {
+        block[c] = c < cols ? replay.net_lanes(trace.nets[64 * w + c]) : 0;
+      }
+      transpose64(block);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        const std::size_t row = row_of(lane);
+        if (row != kNoRow) trace.rows[row * trace.words + w] = block[lane];
+      }
+    }
+  };
+
   std::size_t golden = 0;
-  backends::run_campaign_protocol(
-      replay, job,
-      [&](std::size_t row) {
+  std::size_t fallbacks = 0;
+  std::size_t step = std::max<std::size_t>(1, (n + 62) / 64);  // lanes <= 64
+  for (;;) {
+    const std::size_t lanes = n == 1 ? 1 : (n - 2) / step + 1;
+    const std::size_t phases = std::min(step + 1, n);
+    const auto sample = [&](std::size_t lane, std::size_t p) {
+      return std::min(lane * step + p, n - 1);
+    };
+    const auto records = [&](std::size_t lane, std::size_t p) {
+      return (lane == 0 || p > 0) && lane * step + p < n;
+    };
+    golden = 0;
+    replay.power_on();
+    replay.propagate();
+    record(1, [](std::size_t) { return std::size_t{0}; });
+    for (std::size_t p = 0; p < phases; ++p) {
+      if (job.cancel != nullptr) job.cancel->check("fault.golden");
+      for (std::size_t j = 0; j < ports.size(); ++j) {
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          lane_values[lane] = static_cast<std::uint64_t>(
+              workload.feature_codes[sample(lane, p)][j]);
+        }
+        replay.set_port(*ports[j], lane_values, lanes);
+      }
+      for (std::size_t s = 0; s < settles; ++s) {
+        if (s > 0) replay.clock();
         replay.propagate();
-        std::uint64_t* const words = trace.rows.data() + row * trace.words;
-        for (std::size_t col = 0; col < trace.nets.size(); ++col) {
-          words[col / 64] |= (replay.net_lanes(trace.nets[col]) & 1u)
-                             << (col % 64);
+        record(lanes, [&](std::size_t lane) {
+          return records(lane, p) ? 1 + sample(lane, p) * settles + s : kNoRow;
+        });
+      }
+      if (count_golden) {
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          if (!records(lane, p)) continue;
+          const int expected = workload.expected_class[sample(lane, p)];
+          golden += (backends::class_miss_lanes(replay, *job.class_port, 0,
+                                                expected) >>
+                     lane) &
+                    1u;
         }
-      },
-      [&](std::size_t i) {
-        if (job.cancel != nullptr) job.cancel->check("fault.golden");
-        if (count_golden) {
-          golden += static_cast<int>(replay.port_unsigned(*job.class_port,
-                                                          0)) !=
-                    job.workload->expected_class[i];
+      }
+      if (p == 0) {
+        for (std::size_t i = 0; i < dffs.size(); ++i) {
+          warm[i] = replay.net_lanes(cells[dffs[i]].out);
         }
-      });
+      }
+    }
+    // Lane l's state after its warm-up against lane l - 1's at the end.
+    const std::uint64_t handoffs =
+        (lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1) &
+        ~std::uint64_t{1};
+    bool exact = true;
+    for (std::size_t i = 0; i < dffs.size(); ++i) {
+      const std::uint64_t last = replay.net_lanes(cells[dffs[i]].out);
+      if (((warm[i] ^ (last << 1)) & handoffs) != 0) exact = false;
+    }
+    if (exact) break;
+    ++fallbacks;
+    step = n - 1;
+  }
+  PML_OBS_COUNT("fault.golden_fallbacks", fallbacks);
   PML_OBS_COUNT("sim.batch_fault.lane_words", replay.take_lane_words());
   return golden;
 }
@@ -311,7 +418,8 @@ FaultCampaignResult run_fault_campaign(const netlist::Module& module,
 
   const std::vector<std::int32_t> drivers = module.driver_map();
   CampaignPlan plan =
-      plan_campaign(module, *lv, drivers, *class_port, fault_sets, k.lanes - 1);
+      plan_campaign(module, *lv, drivers, *class_port, fault_sets, k.lanes - 1,
+                    options.num_threads, options.cancel);
   PML_OBS_COUNT("fault.batches",
                 plan.batches.size() + plan.unobserved.size());
   PML_OBS_COUNT("fault.batches_unobserved", plan.unobserved.size());

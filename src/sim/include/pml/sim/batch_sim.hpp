@@ -6,11 +6,11 @@
 // evaluates the levelized netlist once per settle for all lanes at once:
 // an AND2 becomes one machine AND (scalar or vector), a MUX2 three
 // bit-ops.  It is the one zero-delay batch engine, used two ways:
-//  - samples: kLanes independent workload samples through one design
-//    (core::verify_workload, probe_batch_backend);
+//  - samples: kLanes workload samples through one design
+//    (core::verify_workload, probe_batch_backend, and the golden replay
+//    that feeds core::run_fault_campaign's variant batches);
 //  - fault variants: kLanes stuck-at variants of the same design on the
-//    same input (core::run_fault_campaign's variant batches, and the
-//    single-lane golden replay that feeds them).
+//    same input (core::run_fault_campaign's variant batches).
 // Functional results are bit-identical, lane by lane, to the scalar
 // CycleSimulator oracle (with the same faults installed via force_net)
 // for EVERY backend — tests/test_sim_batch.cpp, test_sim_fault_batch.cpp

@@ -26,12 +26,12 @@
 #include "pml/sim/batch_event_sim.hpp"
 #include "pml/sim/event_sim.hpp"
 #include "pml/sim/levelize.hpp"
+#include "warm_up_check.hpp"
 
 namespace pml::core {
 namespace {
 
 using netlist::Module;
-using netlist::NetId;
 
 quant::QuantizedSvm tiny_model() {
   quant::QuantizedSvm q;
@@ -58,24 +58,6 @@ CircuitWorkload svm_workload(const quant::QuantizedSvm& q, int repeats) {
     }
   }
   return wl;
-}
-
-/// A 4-bit accumulator, acc += x0 on every clock edge and never reloaded:
-/// its state carries over from one inference to the next.
-Module accumulator_module() {
-  Module m("accumulator");
-  const std::vector<NetId> x = m.add_input_port("x0", 4);
-  const std::vector<NetId> d = m.new_nets(4);
-  std::vector<NetId> acc;
-  for (const NetId n : d) acc.push_back(m.dff(n));
-  NetId carry = netlist::kConst0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const NetId p = m.xor2(acc[i], x[i]);
-    m.drive_net(d[i], m.xor2(p, carry));
-    carry = m.or2(m.and2(acc[i], x[i]), m.and2(p, carry));
-  }
-  m.add_output_port("acc", acc);
-  return m;
 }
 
 CircuitWorkload accumulator_workload(std::size_t n) {
@@ -138,7 +120,7 @@ TEST(WindowSplit, OneBatchReplayIsTheSameAtEveryThreadCount) {
   const auto lib = cells::CellLibrary::egfet();
   const auto q = tiny_model();
   const auto svm = arch::build_sequential_svm(q);
-  const Module acc = accumulator_module();
+  const Module acc = sim::warm_check::accumulator_module();
   struct Case {
     const char* name;
     const Module& module;
@@ -177,7 +159,7 @@ TEST(WindowSplit, RangesCatchUpThroughEarlierRounds) {
   const auto lib = cells::CellLibrary::egfet();
   const auto q = tiny_model();
   const auto svm = arch::build_sequential_svm(q);
-  const Module acc = accumulator_module();
+  const Module acc = sim::warm_check::accumulator_module();
   constexpr std::size_t kSamples = 520;
   struct Case {
     const char* name;

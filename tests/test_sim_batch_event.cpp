@@ -738,24 +738,6 @@ void expect_window_split_exact(const warm_check::Case& c) {
   }
 }
 
-/// A 4-bit accumulator, acc += x0 on every clock edge and never reloaded:
-/// its state carries over from one inference to the next.
-Module accumulator_module() {
-  Module m("accumulator");
-  const std::vector<NetId> x = m.add_input_port("x0", 4);
-  const std::vector<NetId> d = m.new_nets(4);
-  std::vector<NetId> acc;
-  for (const NetId n : d) acc.push_back(m.dff(n));
-  NetId carry = netlist::kConst0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const NetId p = m.xor2(acc[i], x[i]);
-    m.drive_net(d[i], m.xor2(p, carry));
-    carry = m.or2(m.and2(acc[i], x[i]), m.and2(p, carry));
-  }
-  m.add_output_port("acc", acc);
-  return m;
-}
-
 TEST(WindowSplit, RangesEqualTheSerialInference) {
   const auto lib = cells::CellLibrary::egfet();
   const QuantizedSvm q = random_svm(4, 3, 3, 4, 19);
@@ -768,7 +750,7 @@ TEST(WindowSplit, RangesEqualTheSerialInference) {
   const auto seq_raw = arch::build_sequential_svm(q, raw);
   const auto seq_opt = arch::build_sequential_svm(q);
   const auto seq_mlp = arch::build_sequential_mlp(m);
-  const Module acc = accumulator_module();
+  const Module acc = warm_check::accumulator_module();
   ASSERT_EQ(acc.validate(), std::nullopt);
   struct Named {
     const char* name;

@@ -8,22 +8,32 @@
 // the deterministic fault-set generators; and the edges of cone-restricted
 // batches (primary-input faults, a faulted DFF fed from outside its cone,
 // batches that cannot reach `class`, repeated and empty fault sets, and
-// multi-batch invariance across backends and thread counts).
+// multi-batch invariance across backends and thread counts); the
+// sample-parallel golden replay at sample counts around the 64-lane word
+// and its serial fallback on state carried across inferences;
+// cancellation before any worker runs; and expected classes the class
+// port cannot represent.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "pml/arch/parallel_svm.hpp"
+#include "pml/arch/sequential_mlp.hpp"
 #include "pml/arch/sequential_svm.hpp"
 #include "pml/core/fault_campaign.hpp"
 #include "pml/obs/metrics.hpp"
 #include "pml/sim/backend.hpp"
 #include "pml/sim/batch_sim.hpp"
 #include "pml/sim/cycle_sim.hpp"
+#include "pml/util/cancellation.hpp"
+#include "pml/util/clock.hpp"
+#include "warm_up_check.hpp"
 
 namespace pml::sim {
 namespace {
@@ -364,22 +374,22 @@ CircuitWorkload exhaustive_workload(const QuantizedSvm& q) {
 }
 
 /// Scalar oracle: the campaign protocol, one variant at a time (install
-/// faults, reset, free-running replay).
-std::vector<std::size_t> scalar_campaign(const netlist::Module& module,
-                                         int cycles, bool sequential,
-                                         const CircuitWorkload& wl,
-                                         std::size_t n,
-                                         const std::vector<FaultSet>& sets) {
+/// faults, reset, free-running replay).  Per fault set, element i is the
+/// misclassifications over the first i + 1 of `n` samples.
+std::vector<std::vector<std::size_t>> scalar_prefix_counts(
+    const netlist::Module& module, int cycles, bool sequential,
+    const CircuitWorkload& wl, std::size_t n,
+    const std::vector<FaultSet>& sets) {
   const auto lv = sim::levelize_shared(module);
   sim::CycleSimulator sim(module, lv);
   const auto ports = feature_ports(module, wl.feature_codes[0].size());
   const netlist::Port* class_port = module.find_output("class");
-  std::vector<std::size_t> counts;
+  std::vector<std::vector<std::size_t>> counts;
   for (const FaultSet& set : sets) {
     sim.clear_forces();
     for (const StuckAtFault& f : set.faults) sim.force_net(f.net, f.stuck_value);
     sim.reset();
-    std::size_t mis = 0;
+    std::vector<std::size_t>& mis = counts.emplace_back();
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < ports.size(); ++j) {
         sim.set_port(*ports[j],
@@ -390,10 +400,24 @@ std::vector<std::size_t> scalar_campaign(const netlist::Module& module,
       } else {
         sim.propagate();
       }
-      mis += static_cast<int>(sim.port_unsigned(*class_port)) !=
-             wl.expected_class[i];
+      mis.push_back((i == 0 ? 0 : mis.back()) +
+                    (static_cast<int>(sim.port_unsigned(*class_port)) !=
+                     wl.expected_class[i]));
     }
-    counts.push_back(mis);
+  }
+  return counts;
+}
+
+/// The oracle's count over all `n` samples, per fault set.
+std::vector<std::size_t> scalar_campaign(const netlist::Module& module,
+                                         int cycles, bool sequential,
+                                         const CircuitWorkload& wl,
+                                         std::size_t n,
+                                         const std::vector<FaultSet>& sets) {
+  std::vector<std::size_t> counts;
+  for (const auto& prefix :
+       scalar_prefix_counts(module, cycles, sequential, wl, n, sets)) {
+    counts.push_back(prefix.back());
   }
   return counts;
 }
@@ -536,25 +560,41 @@ TEST(FaultCampaign, AccuracyVsFaultCountCurve) {
 // Each batch simulates only the fanout cone of its faults, fed the rest
 // from one golden replay; these cases pin down the edges of that split.
 
+/// Expect a campaign over the first `n` samples to equal `oracle`: the
+/// scalar_prefix_counts of `sets` and then of a fault-free run, over at
+/// least `n` samples.
+void expect_matches_prefix(const netlist::Module& module, int cycles,
+                           const CircuitWorkload& wl, std::size_t n,
+                           const std::vector<FaultSet>& sets,
+                           const std::vector<std::vector<std::size_t>>& oracle,
+                           const FaultCampaignOptions& base = {}) {
+  FaultCampaignOptions opts = base;
+  opts.max_samples = n;
+  const auto result = run_fault_campaign(module, cycles, wl, sets, opts);
+  ASSERT_EQ(result.variants.size(), sets.size());
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(result.variants[i].misclassified, oracle[i][n - 1])
+        << "variant " << i << " diverges from the scalar oracle";
+  }
+  EXPECT_EQ(result.golden.misclassified, oracle.back()[n - 1]);
+}
+
+/// The oracle of `sets` plus a fault-free run over `n` samples.
+std::vector<std::vector<std::size_t>> oracle_with_golden(
+    const netlist::Module& module, int cycles, const CircuitWorkload& wl,
+    std::size_t n, std::vector<FaultSet> sets) {
+  sets.emplace_back();
+  const bool sequential = !sim::levelize(module).dffs.empty();
+  return scalar_prefix_counts(module, cycles, sequential, wl, n, sets);
+}
+
 /// Expect every variant (and the golden count) to equal the scalar oracle.
 void expect_matches_oracle(const netlist::Module& module, int cycles,
                            const CircuitWorkload& wl, std::size_t n,
                            const std::vector<FaultSet>& sets,
                            const FaultCampaignOptions& base = {}) {
-  FaultCampaignOptions opts = base;
-  opts.max_samples = n;
-  const auto result = run_fault_campaign(module, cycles, wl, sets, opts);
-  std::vector<FaultSet> with_golden = sets;
-  with_golden.emplace_back();  // the fault-free oracle run
-  const bool sequential = !sim::levelize(module).dffs.empty();
-  const auto oracle =
-      scalar_campaign(module, cycles, sequential, wl, n, with_golden);
-  ASSERT_EQ(result.variants.size(), sets.size());
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_EQ(result.variants[i].misclassified, oracle[i])
-        << "variant " << i << " diverges from the scalar oracle";
-  }
-  EXPECT_EQ(result.golden.misclassified, oracle.back());
+  expect_matches_prefix(module, cycles, wl, n, sets,
+                        oracle_with_golden(module, cycles, wl, n, sets), base);
 }
 
 /// A small sequential module whose two class bits read one DFF each, plus
@@ -757,6 +797,254 @@ TEST(FaultCampaign, MultiBatchSingleFaultsInvariantAcrossBackendsAndThreads) {
             << sim::backend_name(b) << " x" << threads << " variant " << i;
       }
     }
+  }
+}
+
+// --- the sample-parallel golden replay --------------------------------------
+//
+// The golden replay runs one sample per lane, each lane warmed up on its
+// predecessor sample, and checks every hand-off; a module whose state
+// carries across inferences fails the check and is replayed serially.
+
+/// `n` random samples over `features` ports of `max_code`, expected to be
+/// the fault-free circuit's classes (a serial CycleSimulator stream from
+/// reset) except every fifth, so the golden count is nonzero and a wrong
+/// class value anywhere moves a count.
+CircuitWorkload serial_workload(const netlist::Module& module, int cycles,
+                                std::size_t features, std::int64_t max_code,
+                                std::size_t n, std::uint64_t seed) {
+  const bool sequential = !sim::levelize(module).dffs.empty();
+  sim::CycleSimulator golden(module);
+  golden.reset();
+  const auto ports = feature_ports(module, features);
+  const netlist::Port* class_port = module.find_output("class");
+  CircuitWorkload wl;
+  std::uint64_t s = seed | 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::int64_t> row;
+    for (std::size_t j = 0; j < features; ++j) {
+      row.push_back(static_cast<std::int64_t>(
+          sim::xorshift(s) % static_cast<std::uint64_t>(max_code + 1)));
+      golden.set_port(*ports[j], static_cast<std::uint64_t>(row.back()));
+    }
+    if (sequential) {
+      for (int c = 0; c < cycles; ++c) golden.step();
+    } else {
+      golden.propagate();
+    }
+    const auto cls = static_cast<int>(golden.port_unsigned(*class_port));
+    wl.expected_class.push_back(i % 5 == 0 ? cls + 1 : cls);
+    wl.feature_codes.push_back(std::move(row));
+  }
+  return wl;
+}
+
+quant::QuantizedMlp small_mlp() {
+  quant::QuantizedMlp q;
+  q.num_inputs = 2;
+  q.num_hidden = 3;
+  q.num_outputs = 3;
+  q.input_format = quant::input_format(3);
+  q.w1_format =
+      fixed::FixedFormat{.total_bits = 4, .frac_bits = 3, .is_signed = true};
+  q.hidden_format =
+      fixed::FixedFormat{.total_bits = 4, .frac_bits = 4, .is_signed = false};
+  q.w2_format =
+      fixed::FixedFormat{.total_bits = 4, .frac_bits = 3, .is_signed = true};
+  q.hidden_shift = 3;
+  q.w1 = {{3, -5}, {-2, 6}, {7, 1}};
+  q.b1 = {4, -8, 0};
+  q.w2 = {{5, -3, 2}, {-4, 6, 1}, {2, 2, -7}};
+  q.b2 = {2, -2, 4};
+  return q;
+}
+
+/// 8 random two-fault sets plus the first 8 single faults.
+std::vector<FaultSet> mixed_fault_sets(const netlist::Module& module,
+                                       std::uint64_t seed) {
+  auto sets = sample_fault_sets(module, 2, 8, seed);
+  const auto singles = enumerate_single_faults(module);
+  sets.insert(sets.end(), singles.begin(),
+              singles.begin() +
+                  static_cast<std::ptrdiff_t>(std::min<std::size_t>(
+                      8, singles.size())));
+  return sets;
+}
+
+std::uint64_t golden_fallbacks(const obs::MetricsSnapshot& before) {
+  return obs::diff_metrics(before, obs::snapshot_metrics())
+      .counter_value("fault.golden_fallbacks");
+}
+
+constexpr std::size_t kSampleCounts[] = {1, 2, 63, 64, 65, 200};
+
+TEST(GoldenReplay, MatchesOracleAtEverySampleCountWithoutFallback) {
+  const auto svm = small_model();
+  const auto mlp = small_mlp();
+  auto seq_svm = arch::build_sequential_svm(svm);
+  auto seq_mlp = arch::build_sequential_mlp(mlp);
+  auto par_svm = arch::build_parallel_svm(svm);
+  struct Case {
+    const char* name;
+    const netlist::Module& module;
+    int cycles;
+  };
+  for (const Case& c : {Case{"sequential svm", seq_svm.module,
+                             seq_svm.cycles_per_inference},
+                        Case{"sequential mlp", seq_mlp.module,
+                             seq_mlp.cycles_per_inference},
+                        Case{"parallel svm", par_svm.module, 1}}) {
+    const auto wl = serial_workload(c.module, c.cycles, 2, 7, 200, 31);
+    const auto sets = mixed_fault_sets(c.module, 17);
+    const auto oracle = oracle_with_golden(c.module, c.cycles, wl, 200, sets);
+    for (const std::size_t n : kSampleCounts) {
+      SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(n) +
+                   " samples");
+      const obs::MetricsSnapshot before = obs::snapshot_metrics();
+      expect_matches_prefix(c.module, c.cycles, wl, n, sets, oracle);
+      EXPECT_EQ(golden_fallbacks(before), 0u);
+    }
+  }
+}
+
+TEST(GoldenReplay, CountsGoldenAcrossLanesWhenNoBatchIsSimulated) {
+  // Every batch misses `class`, so the replay's lanes count the golden
+  // misclassifications themselves.
+  const SideModule side;
+  const std::vector<FaultSet> sets = {
+      FaultSet{{StuckAtFault{side.aux, true}}},
+      FaultSet{{StuckAtFault{side.nand, false}}},
+  };
+  const auto wl = serial_workload(side.m, 1, 1, 3, 200, 5);
+  const auto oracle = oracle_with_golden(side.m, 1, wl, 200, sets);
+  for (const std::size_t n : kSampleCounts) {
+    SCOPED_TRACE(std::to_string(n) + " samples");
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    expect_matches_prefix(side.m, 1, wl, n, sets, oracle);
+    EXPECT_EQ(golden_fallbacks(before), 0u);
+  }
+}
+
+TEST(GoldenReplay, StateCarriedAcrossInferencesFallsBackToTheSerialReplay) {
+  // The accumulator is never reloaded, so a lane warmed up from power-on
+  // on its predecessor sample alone misses the sum before it: the hand-off
+  // check must catch that and replay serially, once per campaign.
+  // Faults on the top bit only: its cone reads the carry out of the low
+  // bits, so the replay must trace them.
+  const netlist::Module acc = sim::warm_check::accumulator_module("class");
+  const int cycles = 3;
+  const auto wl = serial_workload(acc, cycles, 1, 15, 200, 9);
+  const netlist::NetId top = acc.find_output("class")->nets[3];
+  netlist::NetId top_d = netlist::kInvalidNet;
+  for (const netlist::Cell& c : acc.cells()) {
+    if (c.out == top) top_d = c.in[0];
+  }
+  const std::vector<FaultSet> sets = {
+      FaultSet{{StuckAtFault{top, false}}},
+      FaultSet{{StuckAtFault{top, true}}},
+      FaultSet{{StuckAtFault{top_d, true}}},
+  };
+  const auto oracle = oracle_with_golden(acc, cycles, wl, 200, sets);
+  for (const std::size_t n : kSampleCounts) {
+    SCOPED_TRACE(std::to_string(n) + " samples");
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    expect_matches_prefix(acc, cycles, wl, n, sets, oracle);
+    // One lane holds the whole stream below three samples: nothing to
+    // hand off.
+    EXPECT_EQ(golden_fallbacks(before), n < 3 ? 0u : 1u);
+  }
+}
+
+/// A clock that advances one nanosecond per reading, so a deadline of k
+/// expires at the k-th cancellation check.
+class CheckCounter final : public util::Clock {
+ public:
+  std::uint64_t now_ns() override { return ++reads_; }
+  void sleep_ns(std::uint64_t /*ns*/) override {}
+
+ private:
+  std::atomic<std::uint64_t> reads_{0};
+};
+
+TEST(FaultCampaign, CancellationStopsPlanningAndGoldenReplayBeforeWorkers) {
+  const auto q = small_model();
+  auto circuit = arch::build_sequential_svm(q);
+  const auto wl = exhaustive_workload(q);
+  // u64 packs these 100 sets into two batches, and 48 samples take the
+  // replay two phases: checks 1-2 plan, 3-4 replay, 5 is a worker's.
+  const auto sets = sample_fault_sets(circuit.module, 2, 100, 3);
+  FaultCampaignOptions opts;
+  opts.backend = sim::Backend::kU64;
+  opts.max_samples = 48;
+  const auto lanes_active = [](const obs::MetricsSnapshot& before) {
+    return obs::diff_metrics(before, obs::snapshot_metrics())
+        .counter_value("fault.lanes_active");
+  };
+
+  std::atomic<bool> flag{true};
+  const util::CancellationToken cancelled(&flag);
+  opts.cancel = &cancelled;
+  obs::MetricsSnapshot before = obs::snapshot_metrics();
+  EXPECT_THROW((void)run_fault_campaign(circuit.module,
+                                        circuit.cycles_per_inference, wl,
+                                        sets, opts),
+               util::Cancelled);
+  EXPECT_EQ(lanes_active(before), 0u) << "a fault.worker ran";
+
+  const std::pair<std::uint64_t, const char*> sites[] = {
+      {1, "fault.plan"}, {2, "fault.plan"}, {3, "fault.golden"},
+      {4, "fault.golden"}, {5, "fault.batch"}};
+  for (const auto& [k, site] : sites) {
+    CheckCounter clock;
+    const util::CancellationToken deadline(nullptr, k, &clock);
+    opts.cancel = &deadline;
+    before = obs::snapshot_metrics();
+    try {
+      (void)run_fault_campaign(circuit.module, circuit.cycles_per_inference,
+                               wl, sets, opts);
+      ADD_FAILURE() << "check " << k << " did not cancel";
+    } catch (const util::Cancelled& e) {
+      EXPECT_NE(std::string(e.what()).find(site), std::string::npos)
+          << "check " << k << ": " << e.what();
+    }
+    if (k < 5) EXPECT_EQ(lanes_active(before), 0u) << "check " << k;
+  }
+}
+
+TEST(FaultCampaign, UnrepresentableExpectedClassMissesInEveryLane) {
+  // `class` is two bits wide: 4, -1 and 1 << 20 are no value it can show,
+  // so every variant and the golden lane miss those samples, in every
+  // chunk of a wide lane word.
+  const QuantizedSvm q = sim::random_svm(4, 4, 4, 5, 3);
+  auto circuit = arch::build_sequential_svm(q);
+  ASSERT_EQ(circuit.module.find_output("class")->nets.size(), 2u);
+  const auto samples =
+      sim::svm_samples(24, 4, q.input_format.max_code(), 8);
+  CircuitWorkload wl;
+  for (const auto& row : samples) {
+    std::vector<std::int64_t> codes(row.begin(), row.end());
+    wl.expected_class.push_back(q.predict_codes(codes));
+    wl.feature_codes.push_back(std::move(codes));
+  }
+  wl.expected_class[3] = 4;
+  wl.expected_class[10] = -1;
+  wl.expected_class[17] = 1 << 20;
+  // 70 variants and the golden lane span two 64-lane chunks.
+  const auto singles = enumerate_single_faults(circuit.module);
+  const std::vector<FaultSet> sets(singles.begin(), singles.begin() + 70);
+  const std::size_t n = wl.feature_codes.size();
+  const auto oracle = oracle_with_golden(
+      circuit.module, circuit.cycles_per_inference, wl, n, sets);
+  EXPECT_EQ(oracle.back()[n - 1], 3u);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_GE(oracle[i][n - 1], 3u) << "variant " << i;
+  }
+  for (const sim::Backend b : sim::available_backends()) {
+    SCOPED_TRACE(sim::backend_name(b));
+    FaultCampaignOptions opts;
+    opts.backend = b;
+    expect_matches_prefix(circuit.module, circuit.cycles_per_inference, wl,
+                          n, sets, oracle, opts);
   }
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 // BatchEventSimulatorT<L>::warm_up against the delay-accurate round it
 // replaces, and run_windows ranges against the serial inference they
-// split, on any lane word.  tests/test_sim_batch_event.cpp runs both on
+// split, on any lane word; and the accumulator module whose state carries
+// across inferences, on which every warm-up scheme must be caught.  tests/test_sim_batch_event.cpp runs both on
 // u64; warm_up_avx2.cpp / warm_up_avx512.cpp instantiate them under the
 // matching -m flag (as the library's backend TUs do) and export plain
 // functions.
@@ -28,6 +29,24 @@ struct Case {
   /// Lane `lane` of round `r` drives row (r * lanes + lane) % size.
   std::vector<std::vector<std::int64_t>> samples;
 };
+
+/// A 4-bit accumulator, `out` += x0 on every clock edge and never
+/// reloaded: its state carries over from one inference to the next.
+inline netlist::Module accumulator_module(const std::string& out = "acc") {
+  netlist::Module m("accumulator");
+  const std::vector<netlist::NetId> x = m.add_input_port("x0", 4);
+  const std::vector<netlist::NetId> d = m.new_nets(4);
+  std::vector<netlist::NetId> acc;
+  for (const netlist::NetId n : d) acc.push_back(m.dff(n));
+  netlist::NetId carry = netlist::kConst0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const netlist::NetId p = m.xor2(acc[i], x[i]);
+    m.drive_net(d[i], m.xor2(p, carry));
+    carry = m.or2(m.and2(acc[i], x[i]), m.and2(p, carry));
+  }
+  m.add_output_port(out, acc);
+  return m;
+}
 
 /// Empty iff the check passed on the u64 lane word, else what differed.
 [[nodiscard]] std::string warm_up_mismatch_u64(const Case& c);
